@@ -37,7 +37,6 @@ from .orthant import (
     classify_polynomial,
     format_sign_set,
     sepr_at_point,
-    witness_search,
 )
 from .certify import (
     CaseDecomposition,
@@ -47,7 +46,9 @@ from .certify import (
     LevelSummary,
     SeprReport,
     VerificationReport,
+    analyze,
     certify_level,
+    check_expected,
     check_case_rule,
     discover_pivots,
     verify_paper_claims,
@@ -85,7 +86,6 @@ __all__ = [
     "classify_polynomial",
     "format_sign_set",
     "sepr_at_point",
-    "witness_search",
     "CaseDecomposition",
     "Certificate",
     "ClaimResult",
@@ -93,7 +93,9 @@ __all__ = [
     "LevelSummary",
     "SeprReport",
     "VerificationReport",
+    "analyze",
     "certify_level",
+    "check_expected",
     "check_case_rule",
     "discover_pivots",
     "verify_paper_claims",

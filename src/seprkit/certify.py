@@ -12,9 +12,9 @@ point):
   in all three cases holds at every positive point, because each point lands
   in exactly one case.
 
-``verify_paper_claims`` runs the full pipeline on the built-in 12 x 12
-matrix (or any substitute) and reports each claim honestly as PASS, FAIL,
-or INCONCLUSIVE; nothing about the expected answer is assumed.
+``analyze`` runs the pipeline on any square matrix, assuming no answer;
+``check_expected`` checks it against an expected sepr-sequence given as
+data, reporting each claim honestly as PASS, FAIL, or INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .orthant import (
     format_sign_set,
 )
 from .polyring import CoeffSignSummary, Polynomial, reduce_by
-from .symmatrix import IndexSet, SymMatrix, paper_matrix
+from .symmatrix import PAPER_MATRIX_DOCUMENT, IndexSet, SymMatrix, paper_matrix
 
 __all__ = [
     "CaseDecomposition",
@@ -45,6 +45,8 @@ __all__ = [
     "check_case_rule",
     "discover_pivots",
     "certify_level",
+    "analyze",
+    "check_expected",
     "verify_paper_claims",
     "METHOD_ALL_ZERO",
     "METHOD_CONSTANT_SIGN",
@@ -66,8 +68,15 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 _CASE_KEYS = ("D>0", "D<0", "D=0")
 
-# Orders k at which the built-in matrix is claimed to realize all of 0, +, -.
-_FULL_ORDERS = (3, 6, 9)
+_CONSTANT_SIGN = {
+    CoeffSignSummary.ALL_ZERO: "0",
+    CoeffSignSummary.ALL_POSITIVE: "+",
+    CoeffSignSummary.ALL_NEGATIVE: "-",
+}
+
+# The expected sign sets that a level row proves exactly.
+_ZERO_ONLY = frozenset({"0"})
+_FULL = frozenset({"0", "+", "-"})
 
 
 @dataclass(frozen=True)
@@ -121,21 +130,13 @@ def check_case_rule(m: Polynomial, D: Polynomial,
         raise ValueError("zero pivot")
     q, r = reduce_by(m, D)
 
-    fixed = {
-        CoeffSignSummary.ALL_ZERO: "0",
-        CoeffSignSummary.ALL_POSITIVE: "+",
-        CoeffSignSummary.ALL_NEGATIVE: "-",
-    }.get(m.coeff_sign_summary())
+    fixed = _CONSTANT_SIGN.get(m.coeff_sign_summary())
     if fixed is not None:
         return CaseDecomposition(subset, m, q, r, fixed, fixed, fixed)
 
     sq = q.coeff_sign_summary()
     sr = r.coeff_sign_summary()
-    when_zero = {
-        CoeffSignSummary.ALL_POSITIVE: "+",
-        CoeffSignSummary.ALL_NEGATIVE: "-",
-        CoeffSignSummary.ALL_ZERO: "0",
-    }.get(sr)
+    when_zero = _CONSTANT_SIGN.get(sr)
 
     when_pos = when_neg = None
     if sq is CoeffSignSummary.ALL_POSITIVE:
@@ -225,25 +226,21 @@ def certify_level(matrix: SymMatrix, k: int,
     if not 1 <= k <= matrix.n:
         raise ValueError(f"order {k} out of range 1..{matrix.n}")
 
-    items = list(minors.items_of_order(k))
-    summaries = [(subset, m, m.coeff_sign_summary()) for subset, m in items]
-
-    guaranteed = set()
-    if any(s is CoeffSignSummary.ALL_ZERO for _, _, s in summaries):
-        guaranteed.add("0")
-    if all(s is CoeffSignSummary.ALL_ZERO for _, _, s in summaries):
+    summaries = [(mask, minors.entries[mask].coeff_sign_summary())
+                 for mask in minors.masks_of_order(k)]
+    present = {summary for _, summary in summaries}
+    guaranteed = {_CONSTANT_SIGN[summary] for summary in present if summary in _CONSTANT_SIGN}
+    if present == {CoeffSignSummary.ALL_ZERO}:
         return LevelCertification(frozenset(guaranteed), METHOD_ALL_ZERO, None)
-    if any(s is CoeffSignSummary.ALL_POSITIVE for _, _, s in summaries):
-        guaranteed.add("+")
-    if any(s is CoeffSignSummary.ALL_NEGATIVE for _, _, s in summaries):
-        guaranteed.add("-")
 
-    mixed = [m for _, m, s in summaries if s is CoeffSignSummary.MIXED_SIGNS]
+    mixed = [minors.entries[mask] for mask, summary in summaries
+             if summary is CoeffSignSummary.MIXED_SIGNS]
     missing = {"+", "-"} - guaranteed if mixed else set()
     if not missing:
         return LevelCertification(frozenset(guaranteed), METHOD_CONSTANT_SIGN, None)
 
-    nonzero = [(subset, m) for subset, m, s in summaries if s is not CoeffSignSummary.ALL_ZERO]
+    nonzero = [(IndexSet.from_mask(mask), minors.entries[mask]) for mask, summary in summaries
+               if summary is not CoeffSignSummary.ALL_ZERO]
     for pivot in discover_pivots(mixed):
         decs = tuple(check_case_rule(m, pivot, subset) for subset, m in nonzero)
         provable = Certificate(k, pivot, decs, frozenset()).signs_concluded_everywhere()
@@ -278,9 +275,12 @@ class LevelSummary:
 
 @dataclass(frozen=True)
 class SeprReport:
-    """Per-order certification summary for a whole matrix, k = 1..n."""
+    """Per-order certification summary for a whole matrix, k = 1..n, with
+    the minor table and the per-minor verdicts (keyed by mask) behind it."""
 
     levels: tuple[LevelSummary, ...]
+    minors: MinorTable
+    classes: Mapping[int, SignClass]
 
     def level(self, k: int) -> LevelSummary:
         if not 1 <= k <= len(self.levels):
@@ -363,112 +363,121 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _claim_zero_levels(n: int, minors: MinorTable) -> ClaimResult:
-    zero_orders = [k for k in range(1, n + 1) if k not in _FULL_ORDERS]
-    bad = []
-    for k in zero_orders:
-        count = sum(1 for _, m in minors.items_of_order(k) if not m.is_zero())
-        if count:
-            bad.append(f"order {k}: {count} nonzero minor(s)")
-    if not zero_orders:
-        return ClaimResult("zero-levels", PASS, "no orders outside {3,6,9}")
+def analyze(matrix: SymMatrix, budget: int = DEFAULT_BUDGET,
+            seed: int = DEFAULT_SEED) -> SeprReport:
+    """The whole pipeline on any square matrix: enumerate every principal
+    minor, classify each one once (``budget`` and ``seed`` drive the witness
+    search), certify every order k = 1..n and count the classes per order."""
+    minors = all_principal_minors(matrix)
+    classes = {mask: classify_polynomial(m, budget=budget, seed=seed)
+               for mask, m in minors.entries.items()}
+    counts = [{kind.value: 0 for kind in SignKind} for _ in range(matrix.n)]
+    for mask, verdict in classes.items():
+        counts[mask.bit_count() - 1][verdict.kind.value] += 1
+    levels = []
+    for k in range(1, matrix.n + 1):
+        guaranteed, method, certificate = certify_level(matrix, k, minors)
+        levels.append(LevelSummary(k, guaranteed, method, counts[k - 1], certificate))
+    return SeprReport(tuple(levels), minors, classes)
+
+
+def _expected_orders(expected: Mapping, n: int) -> tuple[list[int], list[int], list[int]]:
+    """Orders expected {0}, {0,+,-} and mixed; ValueError unless they fit n."""
+    sepr = [frozenset(signs) for signs in expected["sepr"]]
+    if len(sepr) != n:
+        raise ValueError(f"expected sepr-sequence has {len(sepr)} orders, "
+                         f"but the matrix has n={n}")
+    zero = [k for k, signs in enumerate(sepr, start=1) if signs == _ZERO_ONLY]
+    full = [k for k, signs in enumerate(sepr, start=1) if signs == _FULL]
+    if len(zero) + len(full) != n:
+        raise ValueError("only {0} and {0,+,-} can be checked as expected sign sets")
+    mixed = list(expected["mixed_orders"])
+    if not all(1 <= k <= n for k in mixed):
+        raise ValueError(f"mixed orders {mixed} out of range 1..{n}")
+    return zero, full, mixed
+
+
+def check_expected(report: SeprReport, expected: Mapping) -> tuple[ClaimResult, ...]:
+    """Check ``report`` against ``expected`` (format: ``data/paper12.json``).
+
+    Claims: zero-levels, orders expected {0} certify all-zero; full-levels,
+    orders expected {0,+,-} certify to it exactly, certificate identities
+    re-verified; mixed-size-k per mixed order k, some k-minor is nonzero and
+    each nonzero one is Mixed, its witnesses re-evaluated.  A claim over no
+    orders is left out; data that do not fit the matrix raise ValueError."""
+    zero_orders, full_orders, mixed_orders = _expected_orders(expected, len(report))
+    claims = []
+    if zero_orders:
+        claims.append(_zero_levels([report.level(k) for k in zero_orders]))
+    if full_orders:
+        claims.append(_full_levels([report.level(k) for k in full_orders]))
+    claims.extend(_mixed_level(report, k) for k in mixed_orders)
+    return tuple(claims)
+
+
+def _zero_levels(levels: list[LevelSummary]) -> ClaimResult:
+    bad = [f"order {level.k}: {sum(level.class_counts.values()) - level.class_counts['zero']} "
+           f"nonzero minor(s)" for level in levels if level.method != METHOD_ALL_ZERO]
     if bad:
         return ClaimResult("zero-levels", FAIL, "; ".join(bad))
-    orders = ",".join(str(k) for k in zero_orders)
+    orders = ",".join(str(level.k) for level in levels)
     return ClaimResult("zero-levels", PASS,
                        f"every minor of order {orders} is identically zero")
 
 
-def _claim_full_levels(n: int, sepr: SeprReport) -> ClaimResult:
-    target = frozenset({"0", "+", "-"})
+def _full_levels(levels: list[LevelSummary]) -> ClaimResult:
     parts = []
     ok = True
-    for k in _FULL_ORDERS:
-        if k > n:
-            continue
-        level = sepr.level(k)
+    for level in levels:
+        certificate = level.certificate
+        identities = certificate is None or certificate.verify_identities()
         exact = level.method in (METHOD_CONSTANT_SIGN, METHOD_PIVOT)
-        identities = (level.certificate is None
-                      or level.certificate.verify_identities())
-        if level.guaranteed == target and exact and identities:
-            note = level.method
-            if level.certificate is not None:
-                note += f", pivot {level.certificate.pivot}"
-            parts.append(f"k={k}: {note}")
+        if level.guaranteed == _FULL and exact and identities:
+            pivot = f", pivot {certificate.pivot}" if certificate is not None else ""
+            parts.append(f"k={level.k}: {level.method}{pivot}")
         else:
             ok = False
-            why = f"k={k}: method {level.method}, guaranteed " \
-                  f"{format_sign_set(level.guaranteed)}"
-            if not identities:
-                why += ", identity re-check failed"
-            parts.append(why)
-    if not parts:
-        return ClaimResult("full-levels", PASS, "no orders in {3,6,9} for this n")
+            recheck = "" if identities else ", identity re-check failed"
+            parts.append(f"k={level.k}: method {level.method}, guaranteed "
+                         f"{format_sign_set(level.guaranteed)}{recheck}")
     return ClaimResult("full-levels", PASS if ok else FAIL, "; ".join(parts))
 
 
-def _claim_mixed_size9(minors: MinorTable,
-                       classes: Mapping[int, SignClass]) -> ClaimResult:
-    if minors.n < 9:
-        return ClaimResult("mixed-size-9", PASS, "no size-9 minors for this n")
-    nonzero = [(subset, m) for subset, m in minors.items_of_order(9) if not m.is_zero()]
-    problems = []
-    unresolved = []
-    for subset, m in nonzero:
-        verdict = classes[subset.mask()]
+def _mixed_level(report: SeprReport, k: int) -> ClaimResult:
+    name = f"mixed-size-{k}"
+    problems, unresolved, nonzero = [], [], 0
+    for mask in report.minors.masks_of_order(k):
+        m, verdict = report.minors.entries[mask], report.classes[mask]
+        if verdict.kind is SignKind.ZERO:
+            continue
+        nonzero += 1
+        subset = IndexSet.from_mask(mask)
         if verdict.kind is SignKind.MIXED:
-            pos = m.eval_at(verdict.pos_witness)
-            neg = m.eval_at(verdict.neg_witness)
-            if not (pos > 0 and neg < 0):
+            if not (m.eval_at(verdict.pos_witness) > 0 > m.eval_at(verdict.neg_witness)):
                 problems.append(f"{subset}: witness re-evaluation failed")
         elif verdict.kind is SignKind.UNRESOLVED:
             unresolved.append(str(subset))
         else:
             problems.append(f"{subset}: classified {verdict.label()}")
+    if not nonzero:
+        problems.append(f"no nonzero size-{k} minor")
     if problems:
-        return ClaimResult("mixed-size-9", FAIL, "; ".join(problems))
+        return ClaimResult(name, FAIL, "; ".join(problems))
     if unresolved:
-        return ClaimResult("mixed-size-9", INCONCLUSIVE,
+        return ClaimResult(name, INCONCLUSIVE,
                            "witness search incomplete for " + ", ".join(unresolved))
     return ClaimResult(
-        "mixed-size-9", PASS,
-        f"{len(nonzero)} nonzero size-9 minor(s), each with exact witnesses "
-        f"of both signs")
+        name, PASS,
+        f"{nonzero} nonzero size-{k} minor(s), each with exact witnesses of both signs")
 
 
 def verify_paper_claims(budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED,
                         matrix: SymMatrix | None = None) -> VerificationReport:
-    """Full machine check of the built-in matrix's claims.
-
-    Claims, each reported honestly (a failure is a FAIL line, never an
-    exception): zero-levels — all minors of order outside {3,6,9} vanish
-    identically; full-levels — orders 3, 6, 9 certify to {0,+,-} by an exact
-    (non-sampling) method, with certificate identities re-verified;
-    mixed-size-9 — every nonzero size-9 minor takes both signs, shown by two
-    exact witnesses.  Pass ``matrix`` to run the same checks against any
-    other square matrix; orders outside its range are skipped.
-    """
+    """``analyze`` the built-in matrix (or ``matrix``) and ``check_expected``
+    the result against the paper's data in ``data/paper12.json``."""
     if matrix is None:
         matrix = paper_matrix()
-    minors = all_principal_minors(matrix)
-    n = matrix.n
-
-    classes: dict[int, SignClass] = {}
-    for mask in sorted(minors.entries):
-        classes[mask] = classify_polynomial(minors.minor(mask), budget=budget, seed=seed)
-
-    levels = []
-    for k in range(1, n + 1):
-        guaranteed, method, certificate = certify_level(matrix, k, minors)
-        counts = {kind.value: 0 for kind in SignKind}
-        for mask in minors.masks_of_order(k):
-            counts[classes[mask].kind.value] += 1
-        levels.append(LevelSummary(k, guaranteed, method, counts, certificate))
-    sepr = SeprReport(tuple(levels))
-
-    claims = (
-        _claim_zero_levels(n, minors),
-        _claim_full_levels(n, sepr),
-        _claim_mixed_size9(minors, classes),
-    )
-    return VerificationReport(n, seed, budget, claims, sepr)
+    expected = PAPER_MATRIX_DOCUMENT["expected"]
+    _expected_orders(expected, matrix.n)  # fail before the costly analysis
+    report = analyze(matrix, budget, seed)
+    return VerificationReport(matrix.n, seed, budget, check_expected(report, expected), report)

@@ -186,10 +186,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.k is not None and args.k > matrix.n:
         raise ValueError(f"order {args.k} out of range 1..{matrix.n}")
     minors = all_principal_minors(matrix)
-    if args.k is not None:
-        masks = minors.masks_of_order(args.k)
-    else:
-        masks = sorted(minors.entries)
+    masks = minors.entries if args.k is None else minors.masks_of_order(args.k)
     for mask in masks:
         verdict = classify_polynomial(minors.minor(mask),
                                       budget=args.budget, seed=args.seed)

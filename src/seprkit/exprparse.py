@@ -12,16 +12,27 @@ grammar of :class:`~seprkit.polyring.VariableTable`.  Identifiers are declared
 on first use by appending them to the caller's table.  Implicit
 multiplication ("2a1") is rejected; ``^`` takes only a nonnegative integer
 literal, with ``^0`` yielding 1.
+
+Limits: an exponent is at most ``MAX_DEGREE``, and before a ``+``, ``-``,
+``*`` or ``^`` is applied, bounds on its result (degree, term count, bits of
+the sum of the absolute coefficients) are checked against ``MAX_DEGREE``,
+``MAX_TERMS`` and ``MAX_COEFF_BITS``.  A bound over its limit raises
+:class:`ParseError` at the operator, so hostile input fails at once.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 from .polyring import Polynomial, VariableTable
 
 __all__ = ["ParseError", "parse_entry"]
+
+MAX_DEGREE = 32
+MAX_TERMS = 4096
+MAX_COEFF_BITS = 4096
 
 
 class ParseError(ValueError):
@@ -94,24 +105,36 @@ class _Parser:
         if negate:
             result = -result
         while self.current.kind in ("+", "-"):
-            op = self.advance().kind
+            op = self.advance()
             term = self.parse_term()
-            result = result + term if op == "+" else result - term
+            _check_bounds(max(result.degree, term.degree), result.num_terms() + term.num_terms(),
+                          max(_sum_bits(result), _sum_bits(term)) + 1, op.offset)
+            result = result + term if op.kind == "+" else result - term
         return result
 
     def parse_term(self) -> Polynomial:
         result = self.parse_factor()
         while self.current.kind == "*":
-            self.advance()
-            result = result * self.parse_factor()
+            offset = self.advance().offset
+            factor = self.parse_factor()
+            _check_bounds(result.degree + factor.degree,
+                          result.num_terms() * factor.num_terms(),
+                          _sum_bits(result) + _sum_bits(factor), offset)
+            result = result * factor
         return result
 
     def parse_factor(self) -> Polynomial:
         base = self.parse_base()
         if self.current.kind == "^":
-            self.advance()
-            exponent = self.expect("int")
-            return base ** int(exponent.text)
+            offset = self.advance().offset
+            exponent = int(self.expect("int").text)
+            if exponent > MAX_DEGREE:
+                raise ParseError(f"exponent {exponent} exceeds {MAX_DEGREE}", offset)
+            if exponent:
+                _check_bounds(base.degree * exponent,
+                              math.comb(base.num_terms() + exponent - 1, exponent),
+                              _sum_bits(base) * exponent, offset)
+            return base ** exponent
         return base
 
     def parse_base(self) -> Polynomial:
@@ -128,6 +151,17 @@ class _Parser:
             self.expect(")")
             return inner
         raise ParseError(f"expected a value, found {token.text or 'end of input'!r}", token.offset)
+
+
+def _sum_bits(p: Polynomial) -> int:
+    return sum(abs(coeff) for _, coeff in p.terms()).bit_length()
+
+
+def _check_bounds(degree: int, terms: int, bits: int, offset: int) -> None:
+    for what, value, limit in (("degree", degree, MAX_DEGREE), ("term count", terms, MAX_TERMS),
+                               ("coefficient size", bits, MAX_COEFF_BITS)):
+        if value > limit:
+            raise ParseError(f"{what} bound {value} exceeds {limit}", offset)
 
 
 def parse_entry(src: str, table: VariableTable) -> Polynomial:

@@ -90,8 +90,8 @@ def determinant(matrix: SymMatrix) -> Polynomial:
 
 @dataclass
 class MinorTable:
-    """All principal minors of one matrix, keyed by n-bit subset mask
-    (bit i-1 selects index i)."""
+    """All principal minors of one matrix, keyed by n-bit subset mask (bit
+    i-1 selects index i); ``entries`` iterates in increasing mask order."""
 
     n: int
     entries: dict[int, Polynomial]
@@ -102,7 +102,7 @@ class MinorTable:
 
     def masks_of_order(self, k: int) -> Iterator[int]:
         """Masks of all size-k subsets in increasing mask order."""
-        for mask in sorted(self.entries):
+        for mask in self.entries:
             if mask.bit_count() == k:
                 yield mask
 
@@ -115,7 +115,8 @@ class MinorTable:
 
 
 def all_principal_minors(matrix: SymMatrix) -> MinorTable:
-    """Determinants of every nonempty principal submatrix (2^n - 1 entries)."""
+    """Determinants of every nonempty principal submatrix (2^n - 1 entries),
+    inserted in increasing mask order."""
     n = matrix.n
     if n > MAX_ENUM_DIM:
         raise ValueError(f"refusing to enumerate 2^{n} principal minors (n > {MAX_ENUM_DIM})")

@@ -25,7 +25,6 @@ __all__ = [
     "SignClass",
     "SeprSequence",
     "classify_polynomial",
-    "witness_search",
     "sepr_at_point",
     "sign_of",
     "format_sign_set",
@@ -108,30 +107,6 @@ class SignClass:
 
     def label(self) -> str:
         return self.kind.name.capitalize()
-
-
-def witness_search(p: Polynomial, target: str, budget: int = DEFAULT_BUDGET,
-                   seed: int = DEFAULT_SEED) -> RationalPoint | None:
-    """Seeded search for a strictly positive point where p has sign ``target``.
-
-    The coefficient test is a pre-filter: a sign that the summary rules out
-    is reported absent without spending budget.  Absence is a normal outcome.
-    """
-    if target not in ("+", "-"):
-        raise ValueError("target sign must be '+' or '-'")
-    summary = p.coeff_sign_summary()
-    if summary is CoeffSignSummary.ALL_ZERO:
-        return None
-    if summary is CoeffSignSummary.ALL_POSITIVE and target == "-":
-        return None
-    if summary is CoeffSignSummary.ALL_NEGATIVE and target == "+":
-        return None
-    rng = Lcg64(seed)
-    for _ in range(budget):
-        point = rng.point(p.table)
-        if sign_of(p.eval_at(point)) == target:
-            return point
-    return None
 
 
 def classify_polynomial(p: Polynomial, budget: int = DEFAULT_BUDGET,

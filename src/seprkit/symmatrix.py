@@ -184,39 +184,15 @@ def save_matrix(matrix: SymMatrix, path: "str | Path") -> None:
     Path(path).write_text(json.dumps(matrix_to_document(matrix), indent=2) + "\n")
 
 
-_PAPER_VARIABLES = (
-    [f"a{i}" for i in range(1, 7)]
-    + [f"b{i}" for i in range(1, 12)]
-    + [f"c{i}" for i in range(1, 4)]
-)
-
-_PAPER_ENTRIES = [
-    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "a1", "0", "0"],
-    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "a2", "0"],
-    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "a3"],
-    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "a4"],
-    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "a5"],
-    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "a6"],
-    ["b1", "b2", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
-    ["b3", "b4", "0", "0", "b5", "-b6", "0", "0", "0", "0", "0", "0"],
-    ["0", "b7", "b8", "-b9", "b10", "b11", "0", "0", "0", "0", "0", "0"],
-    ["0", "0", "0", "0", "0", "0", "c1", "0", "0", "0", "0", "0"],
-    ["0", "0", "0", "0", "0", "0", "0", "c2", "0", "0", "0", "0"],
-    ["0", "0", "0", "0", "0", "0", "0", "0", "c3", "0", "0", "0"],
-]
-
-PAPER_MATRIX_DOCUMENT = {
-    "n": 12,
-    "variables": list(_PAPER_VARIABLES),
-    "entries": [list(row) for row in _PAPER_ENTRIES],
-}
+PAPER_MATRIX_DOCUMENT = json.loads(
+    (Path(__file__).parent / "data" / "paper12.json").read_text(encoding="utf-8"))
 
 
 def paper_matrix() -> SymMatrix:
     """The built-in 12x12 parametric matrix over a1..a6, b1..b11, c1..c3.
 
     Its 20 nonzero entries are single signed variables; exactly two carry a
-    negative sign (-b6 at (8,6) and -b9 at (9,4)).  The bundled fixture
-    ``data/paper12.json`` holds the identical document.
+    negative sign (-b6 at (8,6) and -b9 at (9,4)).  ``data/paper12.json``
+    is its only copy and also holds the sepr-sequence the paper claims.
     """
     return matrix_from_document(PAPER_MATRIX_DOCUMENT)

@@ -6,12 +6,14 @@ independent brute-force oracle, or an exact claim about the built-in
 matrix; nothing is tuned to the implementation under test.
 """
 
+import hashlib
 import json
 import math
 import random
 import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 from seprkit import (
     IndexSet,
@@ -190,7 +192,7 @@ def test_criterion_6_property_batteries(builtin_matrix, builtin_minors):
 
 def test_criterion_7_cli_determinism(tmp_path):
     with verdict(7, "verify-paper --format json --seed 0 is byte-identical "
-                    "across runs and exits 0"):
+                    "across runs, matches the recorded report and exits 0"):
         args = [sys.executable, "-m", "seprkit", "verify-paper",
                 "--format", "json", "--seed", "0"]
         first = subprocess.run(args, capture_output=True)
@@ -200,3 +202,6 @@ def test_criterion_7_cli_determinism(tmp_path):
         assert first.stdout  # nonempty
         document = json.loads(first.stdout)
         assert document["overall"] == "PASS"
+        reference = Path(__file__).parents[1] / "perfbench" / "reference.json"
+        recorded = json.loads(reference.read_text())["builtin:verify-paper-json"]
+        assert hashlib.sha256(first.stdout).hexdigest() == recorded

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -12,8 +13,10 @@ from seprkit import (
     RationalPoint,
     VariableTable,
     all_principal_minors,
+    analyze,
     certify_level,
     check_case_rule,
+    check_expected,
     discover_pivots,
     matrix_from_document,
     parse_entry,
@@ -226,6 +229,52 @@ def test_verify_claims_reports_failures_of_a_mutated_matrix():
     assert method == METHOD_SAMPLING
     assert cert is None
     assert guaranteed == frozenset("0")
+
+
+def test_verify_claims_rejects_a_matrix_of_another_size():
+    # the paper's data fit n = 12 only; a 2x2 zero matrix once read PASS
+    zero = matrix_from_document({"n": 2, "entries": [["0", "0"], ["0", "0"]]})
+    with pytest.raises(ValueError, match=r"has 12 orders, but the matrix has n=2"):
+        verify_paper_claims(matrix=zero)
+
+
+# minors: {1,3} = -a*c, {2,3} = b*d, det = 0
+SMALL_DOCUMENT = {
+    "n": 3,
+    "entries": [["0", "0", "a"], ["0", "0", "-b"], ["c", "d", "0"]],
+    "expected": {"sepr": [["0"], ["0", "+", "-"], ["0"]], "mixed_orders": []},
+}
+
+
+def test_check_expected_on_a_small_matrix():
+    report = analyze(matrix_from_document(SMALL_DOCUMENT))
+    claims = check_expected(report, SMALL_DOCUMENT["expected"])
+    assert [(c.name, c.status, c.details) for c in claims] == [
+        ("zero-levels", PASS, "every minor of order 1,3 is identically zero"),
+        ("full-levels", PASS, "k=2: constant-sign"),
+    ]
+
+    changed = {"sepr": [["0"], ["0"], ["0"]], "mixed_orders": [1, 2]}
+    claims = check_expected(report, changed)
+    assert [(c.name, c.status, c.details) for c in claims] == [
+        ("zero-levels", FAIL, "order 2: 2 nonzero minor(s)"),
+        ("mixed-size-1", FAIL, "no nonzero size-1 minor"),
+        ("mixed-size-2", FAIL, "{1,3}: classified Neg; {2,3}: classified Pos"),
+    ]
+    changed = {"sepr": [["0", "+", "-"], ["0", "+", "-"], ["0"]], "mixed_orders": []}
+    [_, full] = check_expected(report, changed)
+    assert full.status == FAIL
+    assert full.details == "k=1: method all-zero, guaranteed {0}; k=2: constant-sign"
+
+
+@pytest.mark.parametrize("expected, message", [
+    ({"sepr": [["0"], ["0", "+"], ["0"]], "mixed_orders": []}, "only {0} and {0,+,-}"),
+    ({"sepr": [["0"], ["0", "+", "-"], ["0"]], "mixed_orders": [4]}, "[4] out of range 1..3"),
+])
+def test_check_expected_rejects_data_it_cannot_check(expected, message):
+    report = analyze(matrix_from_document(SMALL_DOCUMENT))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_expected(report, expected)
 
 
 def test_mutated_matrix_size9_minors_still_take_both_signs():

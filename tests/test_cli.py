@@ -214,6 +214,14 @@ def test_invalid_flags_exit_three():
     assert run_cli()[0] == 3
 
 
+def test_hostile_exponent_in_matrix_file_exits_three(tmp_path):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps({"n": 1, "entries": [["x^100000000"]]}))
+    code, _, err = run_cli("det", "--matrix", str(path), "--subset", "1", timeout=30)
+    assert code == 3
+    assert "entry (1,1): exponent 100000000 exceeds" in err
+
+
 def test_missing_matrix_file_exits_three(tmp_path):
     code, _, err = run_cli("det", "--matrix", str(tmp_path / "nope.json"),
                            "--subset", "1")

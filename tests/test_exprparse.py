@@ -5,6 +5,7 @@ import random
 import pytest
 
 from seprkit import ParseError, Polynomial, VariableTable, parse_entry
+from seprkit.exprparse import MAX_DEGREE, MAX_TERMS
 from _oracles import random_polynomial
 
 
@@ -92,3 +93,37 @@ def test_round_trip_through_rendering():
     for _ in range(60):
         p = random_polynomial(rng, table)
         assert parse(str(p), table) == p
+
+
+@pytest.mark.parametrize(
+    "src, offset",
+    [
+        ("x^100000000", 1),  # exponent over MAX_DEGREE
+        ("(x + y)^300", 7),
+        ("0^99999999", 1),
+        ("x^20 * y^20", 5),  # degree bound 40
+        ("(a+b+c+d+e+f+g+h)^8", 17),  # C(15, 8) = 6435 terms
+        ("((2^32)^32)^4", 11),  # 4 * 1025 coefficient bits
+    ],
+)
+def test_oversized_expansions_are_rejected_at_the_operator(src, offset):
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    assert info.value.offset == offset
+
+
+def test_expansions_at_the_limits_are_admitted():
+    assert parse("x^32").degree == MAX_DEGREE
+    assert parse("x^16 * y^16").degree == MAX_DEGREE
+    assert parse("(x + y)^32").num_terms() == 33
+    assert parse("(2^32)^32") == 2 ** 1024
+
+
+def test_sums_are_bounded_too():
+    xs = "+".join(f"x{i}" for i in range(64))
+    ys = "+".join(f"y{i}" for i in range(64))
+    assert parse(f"({xs}) * ({ys})").num_terms() == MAX_TERMS
+    src = f"({xs}) * ({ys}) + z"
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    assert info.value.offset == src.index("+ z")

@@ -18,7 +18,6 @@ from seprkit import (
     format_sign_set,
     matrix_from_document,
     sepr_at_point,
-    witness_search,
 )
 
 S = frozenset
@@ -115,34 +114,12 @@ def test_classify_rejects_nonpositive_budget():
         classify_polynomial(poly("a1", table), budget=0)
 
 
-def test_witness_search():
-    table = VariableTable(["a1", "a2"])
-    a1 = poly("a1", table)
-    assert witness_search(a1, "+", budget=1) is not None
-    assert witness_search(a1, "-", budget=10 ** 9) is None  # pre-filter, instant
-    with pytest.raises(ValueError):
-        witness_search(a1, "0")
-    p = poly("a1 - a2", table)
-    for target in "+-":
-        point = witness_search(p, target)
-        value = p.eval_at(point)
-        assert (value > 0) if target == "+" else (value < 0)
-
-
-def test_witness_search_agrees_with_classification_stream():
-    table = VariableTable(["a1", "a2"])
-    p = poly("a1 - a2", table)
-    verdict = classify_polynomial(p, budget=40, seed=3)
-    assert verdict.pos_witness == witness_search(p, "+", budget=40, seed=3)
-    assert verdict.neg_witness == witness_search(p, "-", budget=40, seed=3)
-
-
 def test_size_nine_primitive_pivot_polynomial_takes_both_signs():
     table = VariableTable(["b1", "b2", "b3", "b4"])
     p = poly("b1*b4 - b2*b3", table)
-    pos = witness_search(p, "+")
-    neg = witness_search(p, "-")
-    assert p.eval_at(pos) > 0 > p.eval_at(neg)
+    verdict = classify_polynomial(p)
+    assert verdict.kind is SignKind.MIXED
+    assert p.eval_at(verdict.pos_witness) > 0 > p.eval_at(verdict.neg_witness)
 
 
 # ------------------------------------------------------------ sepr at point
