@@ -17,7 +17,10 @@ Limits: an exponent is at most ``MAX_DEGREE``, and before a ``+``, ``-``,
 ``*`` or ``^`` is applied, bounds on its result (degree, term count, bits of
 the sum of the absolute coefficients) are checked against ``MAX_DEGREE``,
 ``MAX_TERMS`` and ``MAX_COEFF_BITS``.  A bound over its limit raises
-:class:`ParseError` at the operator, so hostile input fails at once.
+:class:`ParseError` at the operator, so hostile input fails at once.  An
+integer literal is at most ``MAX_COEFF_BITS`` bits; one with more digits
+than ``2**MAX_COEFF_BITS`` has is refused at the literal before it is
+converted, whether it is a base or an exponent.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = ["ParseError", "parse_entry"]
 MAX_DEGREE = 32
 MAX_TERMS = 4096
 MAX_COEFF_BITS = 4096
+_MAX_LITERAL_DIGITS = len(str(1 << MAX_COEFF_BITS))
 
 
 class ParseError(ValueError):
@@ -127,7 +131,7 @@ class _Parser:
         base = self.parse_base()
         if self.current.kind == "^":
             offset = self.advance().offset
-            exponent = int(self.expect("int").text)
+            exponent = _int_literal(self.expect("int"))
             if exponent > MAX_DEGREE:
                 raise ParseError(f"exponent {exponent} exceeds {MAX_DEGREE}", offset)
             if exponent:
@@ -141,7 +145,7 @@ class _Parser:
         token = self.current
         if token.kind == "int":
             self.advance()
-            return Polynomial.constant(self.table, int(token.text))
+            return Polynomial.constant(self.table, _int_literal(token))
         if token.kind == "ident":
             self.advance()
             return Polynomial.variable(self.table, token.text)
@@ -151,6 +155,23 @@ class _Parser:
             self.expect(")")
             return inner
         raise ParseError(f"expected a value, found {token.text or 'end of input'!r}", token.offset)
+
+
+def _int_literal(token: _Token) -> int:
+    """Value of an INT token of at most ``MAX_COEFF_BITS`` bits.
+
+    The digits are counted before ``int()`` runs, because ``int()`` refuses
+    strings of over 4300 digits, leading zeros included, with a bare
+    ``ValueError``.  Only a literal as long as ``2**MAX_COEFF_BITS`` needs
+    its bits counted.
+    """
+    digits = token.text.lstrip("0") or "0"
+    if len(digits) < _MAX_LITERAL_DIGITS:
+        return int(digits)
+    if len(digits) == _MAX_LITERAL_DIGITS and int(digits).bit_length() <= MAX_COEFF_BITS:
+        return int(digits)
+    raise ParseError(f"integer literal of {len(digits)} digits exceeds {MAX_COEFF_BITS} bits",
+                     token.offset)
 
 
 def _sum_bits(p: Polynomial) -> int:

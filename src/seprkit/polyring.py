@@ -8,16 +8,19 @@ floating point never enters the picture.
 The single term order used everywhere (canonical forms, leading terms,
 division) is graded lexicographic: higher total degree wins, ties are broken
 lexicographically with variable precedence equal to declaration order in the
-``VariableTable``.
+``VariableTable``.  Each monomial computes its sort key ``Monomial.key`` once,
+at construction; ascending keys are descending term order, so canonical
+forms sort by it and ``reduce_by`` pops the greatest pending monomial off a
+heap of keys instead of comparing monomials one pair at a time.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import total_ordering
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -93,16 +96,31 @@ def _check_tables(a: VariableTable, b: VariableTable) -> None:
         raise ValueError("variable table mismatch")
 
 
-@total_ordering
 @dataclass(frozen=True)
 class Monomial:
     """Product of variables raised to positive powers; stored sparsely.
 
     ``pairs`` is an index-sorted tuple of (variable index, exponent) with no
     zero exponents; the empty tuple is the constant monomial 1.
+
+    ``key`` is ``(-degree, index_1, -exponent_1, index_2, -exponent_2, ...)``
+    over ``pairs``.  Graded lex compares total degree first and, within a
+    degree, the monomial whose earliest-differing variable has the larger
+    exponent is the greater one, so an ascending key is exactly descending
+    term order.  The key is flat rather than a tuple of pairs because every
+    monomial holds one: nested pair tuples cost several times the memory.
     """
 
     pairs: tuple[tuple[int, int], ...] = ()
+    key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        degree = 0
+        flat: list[int] = []
+        for index, exp in self.pairs:
+            degree += exp
+            flat += (index, -exp)
+        object.__setattr__(self, "key", (-degree, *flat))
 
     @staticmethod
     def of(exponents: Mapping[int, int]) -> "Monomial":
@@ -120,7 +138,7 @@ class Monomial:
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.pairs)
+        return -self.key[0]
 
     def is_constant(self) -> bool:
         return not self.pairs
@@ -150,15 +168,7 @@ class Monomial:
         return Monomial.of({i: min(e, exps[i]) for i, e in self.pairs if i in exps})
 
     def __lt__(self, other: "Monomial") -> bool:
-        # Graded lex: compare total degree first; within a degree, the
-        # monomial whose earliest-differing variable has the larger exponent
-        # is the greater one.  Negating exponents turns that rule into plain
-        # tuple comparison on the sparse pairs.
-        if self.degree != other.degree:
-            return self.degree < other.degree
-        mine = tuple((i, -e) for i, e in self.pairs)
-        theirs = tuple((i, -e) for i, e in other.pairs)
-        return mine > theirs
+        return self.key > other.key
 
     def render(self, table: VariableTable) -> str:
         if not self.pairs:
@@ -171,6 +181,10 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial({self.pairs!r})"
+
+
+# Monomials are immutable, so every constant polynomial shares this one.
+_UNIT = Monomial()
 
 
 class CoeffSignSummary(Enum):
@@ -236,7 +250,7 @@ class Polynomial:
     def __init__(self, table: VariableTable, terms: Mapping[Monomial, int] | None = None):
         cleaned = {}
         if terms:
-            for mono, coeff in sorted(terms.items(), key=lambda kv: kv[0], reverse=True):
+            for mono, coeff in sorted(terms.items(), key=lambda kv: kv[0].key):
                 if coeff:
                     cleaned[mono] = coeff
         self.table = table
@@ -254,7 +268,7 @@ class Polynomial:
 
     @staticmethod
     def constant(table: VariableTable, value: int) -> "Polynomial":
-        return Polynomial(table, {Monomial(): value})
+        return Polynomial(table, {_UNIT: value})
 
     @staticmethod
     def variable(table: VariableTable, name: str) -> "Polynomial":
@@ -281,7 +295,7 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(m.degree for m in self._terms)
+        return self.leading_monomial().degree
 
     def leading_term(self) -> tuple[Monomial, int]:
         if not self._terms:
@@ -349,14 +363,34 @@ class Polynomial:
     # -- exact analysis ----------------------------------------------------
 
     def eval_at(self, point: RationalPoint) -> Fraction:
-        """Exact rational value at ``point``; a ring homomorphism."""
-        total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            value = Fraction(coeff)
+        """Exact rational value at ``point``; a ring homomorphism.
+
+        With u_i/v_i the value of variable i and D_i its top exponent in this
+        polynomial, every term is an integer multiple of 1/Q for
+        Q = prod v_i^D_i, so the sum runs in integers and one Fraction is
+        built at the end.
+        """
+        top: dict[int, int] = {}
+        for mono in self._terms:
             for index, exp in mono.pairs:
-                value *= point.value(index) ** exp
-            total += value
-        return total
+                if exp > top.get(index, 0):
+                    top[index] = exp
+        num_pows: dict[int, list[int]] = {}
+        den_pows: dict[int, list[int]] = {}
+        common = 1
+        for index, top_exp in top.items():
+            value = point.value(index)
+            num_pows[index] = [value.numerator ** e for e in range(top_exp + 1)]
+            den_pows[index] = [value.denominator ** e for e in range(top_exp + 1)]
+            common *= den_pows[index][-1]
+        total = 0
+        for mono, coeff in self._terms.items():
+            num, den = coeff, 1
+            for index, exp in mono.pairs:
+                num *= num_pows[index][exp]
+                den *= den_pows[index][exp]
+            total += num * (common // den)
+        return Fraction(total, common)
 
     def coeff_sign_summary(self) -> CoeffSignSummary:
         """Sound constant-sign certificate: all-positive coefficients force a
@@ -422,30 +456,43 @@ def reduce_by(m: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynomia
     coefficient; for divisors with leading coefficient +-1 (every pivot this
     package produces) this is the classic field algorithm and no remainder
     monomial is divisible by the leading monomial of the divisor.
+
+    Pending terms live in a dict; a heap of ``(Monomial.key, monomial)``
+    yields the greatest one in O(log T).  A monomial is pushed when it enters
+    the dict, and an entry whose monomial has since cancelled away is skipped
+    when popped.  Every new monomial is below the one just popped, so a
+    monomial never returns to the dict once it has been taken from it.
     """
     _check_tables(m.table, divisor.table)
     if divisor.is_zero():
         raise ValueError("zero divisor")
     lead_mono, lead_coeff = divisor.leading_term()
+    tail = list(divisor.terms())[1:]
     quotient: dict[Monomial, int] = {}
     remainder: dict[Monomial, int] = {}
     work = dict(m._terms)
-    while work:
-        mono = max(work)
-        coeff = work.pop(mono)
+    heap = [(mono.key, mono) for mono in work]
+    heapq.heapify(heap)
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        coeff = work.pop(mono, 0)
+        if not coeff:
+            continue
         if lead_mono.divides(mono) and coeff % lead_coeff == 0:
             factor = coeff // lead_coeff
             shift = mono // lead_mono
             quotient[shift] = quotient.get(shift, 0) + factor
-            for dm, dc in divisor.terms():
-                if dm == lead_mono:
-                    continue
+            for dm, dc in tail:
                 target = dm * shift
-                value = work.get(target, 0) - factor * dc
-                if value:
-                    work[target] = value
+                if target in work:
+                    value = work[target] - factor * dc
+                    if value:
+                        work[target] = value
+                    else:
+                        del work[target]
                 else:
-                    work.pop(target, None)
+                    work[target] = -factor * dc
+                    heapq.heappush(heap, (target.key, target))
         else:
             remainder[mono] = coeff
     return Polynomial(m.table, quotient), Polynomial(m.table, remainder)

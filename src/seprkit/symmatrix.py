@@ -105,13 +105,6 @@ class SymMatrix:
     def transpose(self) -> "SymMatrix":
         return SymMatrix(self.table, [list(col) for col in zip(*self.rows)] if self.rows else [])
 
-    def nonzero_entries(self) -> Iterator[tuple[int, int, Polynomial]]:
-        """Yield (i, j, entry) for nonzero entries, row-major, 1-based."""
-        for i, row in enumerate(self.rows, start=1):
-            for j, entry in enumerate(row, start=1):
-                if entry:
-                    yield i, j, entry
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymMatrix):
             return NotImplemented

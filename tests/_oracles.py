@@ -78,23 +78,77 @@ def constant_matrix(table: VariableTable, grid):
     return [[Polynomial.constant(table, value) for value in row] for row in grid]
 
 
+def random_monomial(rng: random.Random, nvars: int, max_degree: int = 4) -> Monomial:
+    exponents = {}
+    for _ in range(rng.randint(0, max_degree)):
+        index = rng.randrange(nvars)
+        exponents[index] = exponents.get(index, 0) + 1
+    return Monomial.of(exponents)
+
+
 def random_polynomial(rng: random.Random, table: VariableTable,
                       max_terms: int = 4, max_degree: int = 3,
                       coeff_bound: int = 9) -> Polynomial:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        exponents = {}
-        for _ in range(rng.randint(0, max_degree)):
-            index = rng.randrange(len(table))
-            exponents[index] = exponents.get(index, 0) + 1
+        mono = random_monomial(rng, len(table), max_degree)
         coeff = rng.randint(-coeff_bound, coeff_bound)
-        mono = Monomial.of(exponents)
         terms[mono] = terms.get(mono, 0) + coeff
     return Polynomial(table, terms)
 
 
-def random_positive_point(rng: random.Random, table: VariableTable) -> RationalPoint:
-    values = tuple(Fraction(rng.randint(1, 60), rng.randint(1, 60))
+def grlex_less(a: Monomial, b: Monomial) -> bool:
+    """Graded lex by definition: total degree first; within a degree, the
+    monomial whose earliest-differing variable has the larger exponent is
+    the greater one (negated exponents make that plain tuple order)."""
+    degree_a, degree_b = sum(e for _, e in a.pairs), sum(e for _, e in b.pairs)
+    if degree_a != degree_b:
+        return degree_a < degree_b
+    return tuple((i, -e) for i, e in a.pairs) > tuple((i, -e) for i, e in b.pairs)
+
+
+def reduce_by_reference(m: Polynomial, divisor: Polynomial):
+    """Single-divisor division by its textbook loop: find the greatest
+    pending monomial by a linear scan under ``grlex_less``, cancel it when
+    lead(D) divides it exactly, else move it to the remainder."""
+    lead_mono, lead_coeff = divisor.leading_term()
+    quotient, remainder = {}, {}
+    work = dict(m.terms())
+    while work:
+        mono = next(iter(work))
+        for other in work:
+            if grlex_less(mono, other):
+                mono = other
+        coeff = work.pop(mono)
+        if lead_mono.divides(mono) and coeff % lead_coeff == 0:
+            factor = coeff // lead_coeff
+            shift = mono // lead_mono
+            quotient[shift] = quotient.get(shift, 0) + factor
+            for dm, dc in divisor.terms():
+                if dm != lead_mono:
+                    target = dm * shift
+                    work[target] = work.get(target, 0) - factor * dc
+                    if not work[target]:
+                        del work[target]
+        else:
+            remainder[mono] = coeff
+    return Polynomial(m.table, quotient), Polynomial(m.table, remainder)
+
+
+def eval_reference(p: Polynomial, point: RationalPoint) -> Fraction:
+    """Termwise evaluation in Fractions."""
+    total = Fraction(0)
+    for mono, coeff in p.terms():
+        value = Fraction(coeff)
+        for index, exp in mono.pairs:
+            value *= point.value(index) ** exp
+        total += value
+    return total
+
+
+def random_positive_point(rng: random.Random, table: VariableTable,
+                          hi: int = 60) -> RationalPoint:
+    values = tuple(Fraction(rng.randint(1, hi), rng.randint(1, hi))
                    for _ in range(len(table)))
     return RationalPoint(table, values)
 

@@ -112,11 +112,28 @@ def test_oversized_expansions_are_rejected_at_the_operator(src, offset):
     assert info.value.offset == offset
 
 
+@pytest.mark.parametrize(
+    "src, offset",
+    [
+        pytest.param("1" * 5000, 0, id="base-5000-digits"),  # int() stops at 4300
+        pytest.param("x^" + "1" * 5000, 2, id="exponent-5000-digits"),
+        pytest.param("x + " + "1" * 1234, 4, id="base-4097-bits"),
+    ],
+)
+def test_oversized_literals_are_rejected_at_the_literal(src, offset):
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    assert info.value.offset == offset
+
+
 def test_expansions_at_the_limits_are_admitted():
     assert parse("x^32").degree == MAX_DEGREE
     assert parse("x^16 * y^16").degree == MAX_DEGREE
     assert parse("(x + y)^32").num_terms() == 33
     assert parse("(2^32)^32") == 2 ** 1024
+    assert parse("9" * 1233) == 10 ** 1233 - 1
+    assert parse("0" * 5000 + "7") == 7
+    assert parse("x^" + "0" * 5000 + "3").degree == 3
 
 
 def test_sums_are_bounded_too():

@@ -13,7 +13,14 @@ from seprkit import (
     VariableTable,
     reduce_by,
 )
-from _oracles import random_polynomial, random_positive_point
+from _oracles import (
+    eval_reference,
+    grlex_less,
+    random_monomial,
+    random_polynomial,
+    random_positive_point,
+    reduce_by_reference,
+)
 
 
 def fresh_table():
@@ -73,6 +80,12 @@ def test_order_is_graded_then_lexicographic():
     assert a > b > c
     assert a * a > a * b > a * c > b * b > b * c > c * c
     assert sorted([b, a * a, c, a], reverse=True) == [a * a, a, b, c]
+    rng = random.Random(23)
+    for _ in range(2000):
+        m1, m2 = random_monomial(rng, 4), random_monomial(rng, 4)
+        assert (m1 < m2) == grlex_less(m1, m2)
+        assert (m1.key < m2.key) == grlex_less(m2, m1)
+        assert m1.degree == sum(e for _, e in m1.pairs)
 
 
 def test_monomial_render():
@@ -115,6 +128,12 @@ def test_int_coercion_and_pow():
     assert a ** 0 == 1
     with pytest.raises(ValueError):
         a ** -1
+    rng = random.Random(31)
+    for _ in range(20):
+        p = random_polynomial(rng, table)
+        x = random_positive_point(rng, table)
+        for e in range(10):
+            assert (p ** e).eval_at(x) == p.eval_at(x) ** e
 
 
 def test_evaluation_is_a_ring_homomorphism():
@@ -126,7 +145,14 @@ def test_evaluation_is_a_ring_homomorphism():
         x = random_positive_point(rng, table)
         assert p.eval_at(x) + q.eval_at(x) == (p + q).eval_at(x)
         assert p.eval_at(x) * q.eval_at(x) == (p * q).eval_at(x)
+        wide = random_positive_point(rng, table, hi=10 ** 6)
+        for poly in (p, q, p * q, Polynomial.zero(table), Polynomial.constant(table, -5)):
+            for point in (x, wide):
+                assert poly.eval_at(point) == eval_reference(poly, point)
     assert Polynomial.constant(table, 7).eval_at(random_positive_point(rng, table)) == 7
+    partial = RationalPoint(table, (Fraction(1, 2),))
+    with pytest.raises(ValueError, match="unassigned"):
+        var(table, "a2").eval_at(partial)
 
 
 # ----------------------------------------------------------- canonical form
@@ -205,18 +231,31 @@ def test_rational_point_construction_and_errors():
 
 
 def test_reduce_by_identity_holds_on_random_inputs():
-    table = fresh_table()
+    # Six sparse variables, then two variables with many terms, where the
+    # targets of different steps collide, so a step taken out of order shows.
     rng = random.Random(440)
-    checked = 0
-    for _ in range(200):
-        m = random_polynomial(rng, table)
-        d = random_polynomial(rng, table, max_terms=3)
-        if d.is_zero():
-            continue
-        q, r = reduce_by(m, d)
-        assert q * d + r == m
-        checked += 1
-    assert checked >= 100
+    shapes = ((fresh_table(), {}, {"max_terms": 3}),
+              (VariableTable(["x", "y"]), {"max_terms": 8, "max_degree": 5},
+               {"max_terms": 4, "max_degree": 2}))
+    for table, m_shape, d_shape in shapes:
+        checked = 0
+        for _ in range(200):
+            m = random_polynomial(rng, table, **m_shape)
+            d = random_polynomial(rng, table, **d_shape)
+            if d.is_zero():
+                continue
+            q, r = reduce_by(m, d)
+            assert q * d + r == m
+            assert (q, r) == reduce_by_reference(m, d)
+            # an exact multiple: terms of q*d cancel during expansion and
+            # come back as the division walks down
+            factor = random_polynomial(rng, table, **m_shape)
+            multiple = factor * d
+            assert reduce_by(multiple, d) == reduce_by_reference(multiple, d) \
+                == (factor, Polynomial.zero(table))
+            assert reduce_by(multiple + m, d) == reduce_by_reference(multiple + m, d)
+            checked += 1
+        assert checked >= 100
 
 
 def test_reduce_by_remainder_condition_for_unit_leading_coefficient():
@@ -248,6 +287,10 @@ def test_reduce_by_known_values():
     assert (q, r) == (Polynomial.zero(table), 3 * b1)
     q, r = reduce_by(4 * b1 * b2 + b3, 2 * b1)
     assert q == 2 * b2 and r == b3
+    # b1*b2^2 cancels in the first step and comes back in the second
+    m = b1 ** 3 + 2 * b1 ** 2 * b2 + b1 * b2 ** 2
+    d = b1 ** 2 + b1 * b2 + b2 ** 2
+    assert reduce_by(m, d) == reduce_by_reference(m, d) == (b1 + b2, -b1 * b2 ** 2 - b2 ** 3)
     with pytest.raises(ValueError):
         reduce_by(b1, Polynomial.zero(table))
 

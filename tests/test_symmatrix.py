@@ -61,7 +61,8 @@ def test_matrix_access_and_views():
     assert t.entry(1, 2) == m.entry(2, 1)
     assert t.entry(2, 1) == m.entry(1, 2)
     assert t.transpose() == m
-    assert [(i, j) for i, j, _ in m.nonzero_entries()] == [(1, 1), (1, 2), (2, 2)]
+    assert [(i, j) for i, row in enumerate(m.rows, start=1)
+            for j, entry in enumerate(row, start=1) if entry] == [(1, 1), (1, 2), (2, 2)]
 
 
 def test_matrix_requires_square_grid_and_one_table():
@@ -117,6 +118,11 @@ def test_entry_syntax_error_reports_row_column_and_offset():
         matrix_from_document(doc)
     assert "entry (2,1)" in str(info.value)
     assert "offset 3" in str(info.value)
+    doc["entries"][1][0] = "x^" + "1" * 5000
+    with pytest.raises(MatrixFormatError) as info:
+        matrix_from_document(doc)
+    assert "entry (2,1): integer literal of 5000 digits" in str(info.value)
+    assert "offset 2" in str(info.value)
 
 
 def test_load_matrix_rejects_invalid_json(tmp_path):
@@ -138,7 +144,8 @@ def test_builtin_matrix_shape_and_variables(builtin_matrix):
 
 
 def test_builtin_matrix_nonzero_pattern(builtin_matrix):
-    entries = {(i, j): str(p) for i, j, p in builtin_matrix.nonzero_entries()}
+    entries = {(i, j): str(p) for i, row in enumerate(builtin_matrix.rows, start=1)
+               for j, p in enumerate(row, start=1) if p}
     assert len(entries) == 20
     negatives = {pos for pos, text in entries.items() if text.startswith("-")}
     assert negatives == {(8, 6), (9, 4)}
