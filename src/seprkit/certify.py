@@ -221,10 +221,10 @@ def certify_level(matrix: SymMatrix, k: int,
     Certificate closes the gap), sampling-only (gap left open; only proven
     signs are reported).
     """
-    if minors is None:
-        minors = all_principal_minors(matrix)
     if not 1 <= k <= matrix.n:
         raise ValueError(f"order {k} out of range 1..{matrix.n}")
+    if minors is None:
+        minors = all_principal_minors(matrix)
 
     summaries = [(mask, minors.entries[mask].coeff_sign_summary())
                  for mask in minors.masks_of_order(k)]

@@ -1,12 +1,17 @@
 """Exact symbolic determinants and enumeration of all principal minors.
 
-Determinants are computed by recursive Laplace expansion along the active
-row with the fewest active nonzero entries, memoised on the
-(row mask, column mask) pair.  The memo is shared across all 2^n - 1
-principal subsets, so sparse matrices (the built-in one has 20 nonzero
-entries) reuse almost every subdeterminant.  The same engine runs over
-polynomial entries and over exact rational entries, which backs the
-point-evaluation path.
+Determinants are computed by recursive Laplace expansion, memoised on the
+(row mask, column mask) pair and shared across all 2^n - 1 principal
+subsets, so sparse matrices (the built-in one has 20 nonzero entries) reuse
+almost every subdeterminant.  Each row keeps a bitmask of its nonzero
+columns.  One pass over the active rows ANDs each with the column mask:
+an empty row, or a column no active row covers, means the support has no
+perfect matching (Hall's theorem), so the minor is identically zero and
+costs no arithmetic and no memo entry.  Otherwise the expansion runs along
+the active row with the fewest active entries and skips zero
+subdeterminants; the memo holds only such expanded results.  The same
+engine runs over polynomial entries and over exact rational entries, which
+backs the point-evaluation path.
 """
 
 from __future__ import annotations
@@ -29,12 +34,18 @@ class _CofactorEngine:
     """Laplace expansion with a memo keyed on (row mask, column mask).
 
     ``row_entries[i]`` lists the nonzero (column, value) pairs of row i in
-    column order; expansion order is deterministic, so results match
-    sequential evaluation bit for bit.
+    column order and ``row_bits[i]`` is the mask of those columns.  A
+    (row mask, column mask) pair with an empty row or an uncovered column is
+    structurally singular: ``det`` returns the shared ``zero`` without
+    expanding or memoising it, since that test costs about as much as a memo
+    lookup.  The memo holds only expanded results.  Expansion order is
+    deterministic (fewest active entries, lowest row on ties), so results
+    match sequential evaluation bit for bit.
     """
 
     def __init__(self, row_entries, zero, one):
         self.row_entries = row_entries
+        self.row_bits = [sum(1 << c for c, _ in entries) for entries in row_entries]
         self.zero = zero
         self.one = one
         self.memo: dict[tuple[int, int], object] = {}
@@ -46,31 +57,38 @@ class _CofactorEngine:
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        best_row = -1
-        best: list[tuple[int, object]] | None = None
+        row_bits = self.row_bits
+        covered = 0
+        best_row, best_count = -1, cmask.bit_count() + 1
         remaining = rmask
         while remaining:
-            row = (remaining & -remaining).bit_length() - 1
-            remaining &= remaining - 1
-            active = [(c, v) for c, v in self.row_entries[row] if cmask >> c & 1]
-            if best is None or len(active) < len(best):
-                best_row, best = row, active
-                if not active:
-                    break
-        assert best is not None
-        if not best:
-            result = self.zero
-        else:
-            row_pos = (rmask & ((1 << best_row) - 1)).bit_count()
-            result = self.zero
-            sub_rmask = rmask & ~(1 << best_row)
-            for col, value in best:
-                col_pos = (cmask & ((1 << col) - 1)).bit_count()
-                cofactor = value * self.det(sub_rmask, cmask & ~(1 << col))
-                if (row_pos + col_pos) % 2:
-                    result = result - cofactor
-                else:
-                    result = result + cofactor
+            low = remaining & -remaining
+            remaining ^= low
+            row = low.bit_length() - 1
+            active = row_bits[row] & cmask
+            if not active:
+                return self.zero
+            covered |= active
+            count = active.bit_count()
+            if count < best_count:
+                best_row, best_count = row, count
+        if covered != cmask:
+            return self.zero
+        row_pos = (rmask & ((1 << best_row) - 1)).bit_count()
+        sub_rmask = rmask ^ (1 << best_row)
+        result = self.zero
+        for col, value in self.row_entries[best_row]:
+            bit = 1 << col
+            if not cmask & bit:
+                continue
+            sub = self.det(sub_rmask, cmask ^ bit)
+            if not sub:
+                continue
+            cofactor = value * sub
+            if (row_pos + (cmask & (bit - 1)).bit_count()) % 2:
+                result = result - cofactor
+            else:
+                result = result + cofactor
         self.memo[key] = result
         return result
 
@@ -101,10 +119,16 @@ class MinorTable:
         return self.entries[mask]
 
     def masks_of_order(self, k: int) -> Iterator[int]:
-        """Masks of all size-k subsets in increasing mask order."""
-        for mask in self.entries:
-            if mask.bit_count() == k:
-                yield mask
+        """Masks of all size-k subsets in increasing mask order, generated
+        directly (Gosper's hack) rather than by scanning all 2^n masks."""
+        if not 1 <= k <= self.n:
+            return
+        mask, limit = (1 << k) - 1, 1 << self.n
+        while mask < limit:
+            yield mask
+            low = mask & -mask
+            ripple = mask + low
+            mask = ripple | ((ripple ^ mask) >> (low.bit_length() + 1))
 
     def items_of_order(self, k: int) -> Iterator[tuple[IndexSet, Polynomial]]:
         for mask in self.masks_of_order(k):

@@ -72,9 +72,12 @@ class Lcg64(object):
 
 
 def sign_of(value: Fraction) -> str:
-    if value > 0:
+    # A Fraction's denominator is positive, so its numerator carries the
+    # sign; reading it skips Fraction's rich comparison.  Ints work as well.
+    numerator = value.numerator
+    if numerator > 0:
         return "+"
-    if value < 0:
+    if numerator < 0:
         return "-"
     return "0"
 
@@ -109,6 +112,12 @@ class SignClass:
         return self.kind.name.capitalize()
 
 
+# SignClass is frozen, so the witness-free verdicts can be shared.
+_ZERO = SignClass(SignKind.ZERO)
+_POS = SignClass(SignKind.POS)
+_NEG = SignClass(SignKind.NEG)
+
+
 def classify_polynomial(p: Polynomial, budget: int = DEFAULT_BUDGET,
                         seed: int = DEFAULT_SEED) -> SignClass:
     """Classify p over the positive orthant.
@@ -123,19 +132,19 @@ def classify_polynomial(p: Polynomial, budget: int = DEFAULT_BUDGET,
         raise ValueError("budget must be at least 1")
     summary = p.coeff_sign_summary()
     if summary is CoeffSignSummary.ALL_ZERO:
-        return SignClass(SignKind.ZERO)
+        return _ZERO
     if summary is CoeffSignSummary.ALL_POSITIVE:
-        return SignClass(SignKind.POS)
+        return _POS
     if summary is CoeffSignSummary.ALL_NEGATIVE:
-        return SignClass(SignKind.NEG)
+        return _NEG
     rng = Lcg64(seed)
     pos = neg = None
     for _ in range(budget):
         point = rng.point(p.table)
-        value = p.eval_at(point)
-        if value > 0:
+        numerator = p.eval_at(point).numerator
+        if numerator > 0:
             pos = pos or point
-        elif value < 0:
+        elif numerator < 0:
             neg = neg or point
         if pos is not None and neg is not None:
             return SignClass(SignKind.MIXED, pos_witness=pos, neg_witness=neg)

@@ -109,10 +109,13 @@ class Monomial:
     exponent is the greater one, so an ascending key is exactly descending
     term order.  The key is flat rather than a tuple of pairs because every
     monomial holds one: nested pair tuples cost several times the memory.
+    The hash is also computed once, since monomials are dict keys in every
+    polynomial operation.
     """
 
     pairs: tuple[tuple[int, int], ...] = ()
     key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         degree = 0
@@ -121,6 +124,10 @@ class Monomial:
             degree += exp
             flat += (index, -exp)
         object.__setattr__(self, "key", (-degree, *flat))
+        object.__setattr__(self, "_hash", hash((self.pairs,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(exponents: Mapping[int, int]) -> "Monomial":

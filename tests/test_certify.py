@@ -11,6 +11,7 @@ from seprkit import (
     IndexSet,
     Polynomial,
     RationalPoint,
+    SymMatrix,
     VariableTable,
     all_principal_minors,
     analyze,
@@ -32,6 +33,7 @@ from seprkit.certify import (
     METHOD_SAMPLING,
     PASS,
 )
+from seprkit.minors import MAX_ENUM_DIM
 from seprkit.symmatrix import PAPER_MATRIX_DOCUMENT
 from _oracles import certificate_mismatches, random_positive_point, sign_str
 
@@ -152,6 +154,15 @@ def test_certify_level_computes_minors_when_not_supplied(builtin_matrix, builtin
     assert certify_level(builtin_matrix, 3) == certify_level(builtin_matrix, 3, builtin_minors)
     with pytest.raises(ValueError, match="out of range"):
         certify_level(builtin_matrix, 13, builtin_minors)
+
+
+def test_certify_level_checks_the_order_before_enumerating():
+    table = VariableTable()
+    n = MAX_ENUM_DIM + 1
+    zero = Polynomial.zero(table)
+    too_big = SymMatrix(table, [[zero] * n for _ in range(n)])
+    with pytest.raises(ValueError, match="out of range"):
+        certify_level(too_big, 0)
 
 
 def test_certificate_soundness_on_sampled_and_projected_points(builtin_matrix, builtin_minors):

@@ -1,5 +1,6 @@
 """Determinant engine against brute-force oracles, plus the minor table."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from seprkit import (
     IndexSet,
+    MinorTable,
     Polynomial,
     SymMatrix,
     VariableTable,
@@ -16,7 +18,7 @@ from seprkit import (
     minor_values_at,
     parse_entry,
 )
-from seprkit.minors import MAX_ENUM_DIM
+from seprkit.minors import MAX_ENUM_DIM, _symbolic_engine
 from _oracles import (
     constant_matrix,
     leibniz_det,
@@ -138,3 +140,98 @@ def test_minor_values_match_symbolic_evaluation(builtin_matrix, builtin_minors):
         for mask, value in values.items():
             assert value == builtin_minors.minor(mask).eval_at(point)
             assert isinstance(value, Fraction)
+
+
+# ------------------------------------------- sparse supports and zero minors
+
+
+def sparse_grid(rng, n, entry):
+    """About a third of the entries nonzero, drawn by ``entry()``; some
+    grids get a forced empty row or column, others a rank-1 block
+    u_i*v_j, whose minors of order >= 2 cancel to 0 although their support
+    has perfect matchings."""
+    grid = [[entry() if rng.random() < 1 / 3 else 0 for _ in range(n)] for _ in range(n)]
+    shape = rng.choice(["plain", "empty-row", "empty-column", "rank-1"])
+    i = rng.randrange(n)
+    if shape == "empty-row":
+        grid[i] = [0] * n
+    elif shape == "empty-column":
+        for row in grid:
+            row[i] = 0
+    elif shape == "rank-1" and n >= 2:
+        block = rng.sample(range(n), rng.randint(2, n))
+        u = {b: entry() for b in block}
+        v = {b: entry() for b in block}
+        for r in block:
+            for c in block:
+                grid[r][c] = u[r] * v[c]
+    return grid
+
+
+def principal_subgrid(grid, mask):
+    index = [i for i in range(len(grid)) if mask >> i & 1]
+    return [[grid[i][j] for j in index] for i in index]
+
+
+def has_empty_line(grid, rmask, cmask):
+    """True if some selected row or column has no nonzero in the selection."""
+    rows = [i for i in range(len(grid)) if rmask >> i & 1]
+    cols = [j for j in range(len(grid)) if cmask >> j & 1]
+    return (any(not any(grid[i][j] for j in cols) for i in rows)
+            or any(not any(grid[i][j] for i in rows) for j in cols))
+
+
+def test_all_principal_minors_match_leibniz_on_sparse_grids():
+    table = VariableTable()
+    rng = random.Random(4242)
+
+    def entry():
+        return rng.choice([-1, 1]) * rng.randint(1, 9)
+
+    for trial in range(180):
+        n = rng.randint(1, 6)
+        grid = sparse_grid(rng, n, entry)
+        m = int_matrix(table, grid)
+        minors = all_principal_minors(m)
+        assert len(minors) == 2 ** n - 1
+        for mask in range(1, 1 << n):
+            assert minors.minor(mask) == leibniz_det(principal_subgrid(grid, mask)), \
+                f"trial {trial}, mask {mask:b}: {grid}"
+        # A pair with an empty row or column is never expanded or memoised.
+        engine = _symbolic_engine(m)
+        for mask in range(1, 1 << n):
+            engine.det(mask, mask)
+        for rmask, cmask in engine.memo:
+            assert not has_empty_line(grid, rmask, cmask), f"trial {trial}: {grid}"
+
+
+def test_point_values_match_symbolic_minors_on_sparse_grids():
+    rng = random.Random(4343)
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        table = VariableTable()
+        names = itertools.count()
+
+        def entry():
+            coeff = rng.choice([-1, 1]) * rng.randint(1, 3)
+            return coeff * Polynomial.variable(table, f"x{next(names)}")
+
+        grid = sparse_grid(rng, n, entry)
+        rows = [[e if e else Polynomial.zero(table) for e in row] for row in grid]
+        m = SymMatrix(table, rows)
+        minors = all_principal_minors(m)
+        point = random_positive_point(rng, table)
+        values = minor_values_at(m, point)
+        assert set(values) == set(minors.entries)
+        for mask, value in values.items():
+            symbolic = minors.minor(mask)
+            assert symbolic == leibniz_det(principal_subgrid(rows, mask))
+            assert value == symbolic.eval_at(point), f"trial {trial}, mask {mask:b}"
+
+
+def test_masks_of_order_equals_the_popcount_scan():
+    for n in range(1, 11):
+        table = MinorTable(n, dict.fromkeys(range(1, 1 << n)))
+        for k in range(-1, n + 2):
+            expected = [mask for mask in range(1, 1 << n) if mask.bit_count() == k]
+            assert list(table.masks_of_order(k)) == expected, (n, k)

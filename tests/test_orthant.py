@@ -19,6 +19,7 @@ from seprkit import (
     matrix_from_document,
     sepr_at_point,
 )
+from seprkit.orthant import sign_of
 
 S = frozenset
 FULL = S("0+-")
@@ -28,6 +29,12 @@ ZERO_ONLY = S("0")
 def poly(src, table):
     from seprkit import parse_entry
     return parse_entry(src, table)
+
+
+def test_sign_of_fractions_and_ints():
+    assert [sign_of(Fraction(n, d)) for n, d in [(3, 7), (-3, 7), (3, -7), (0, 5)]] == \
+        ["+", "-", "-", "0"]
+    assert [sign_of(v) for v in (12, -1, 0)] == ["+", "-", "0"]
 
 
 # ------------------------------------------------------------------- RNG

@@ -71,6 +71,16 @@ def test_monomial_multiplication_and_division():
     assert m.degree == 3
 
 
+def test_equal_monomials_hash_equal_however_built():
+    direct = Monomial.of({0: 2, 3: 1})
+    product = Monomial.var(3) * Monomial.var(0, 2)
+    quotient = Monomial.of({0: 3, 3: 1, 5: 2}) // Monomial.of({0: 1, 5: 2})
+    assert direct == product == quotient
+    assert hash(direct) == hash(product) == hash(quotient)
+    assert len({direct: 1, product: 2, quotient: 3}) == 1
+    assert hash(Monomial.of({})) == hash(Monomial.var(1) // Monomial.var(1))
+
+
 def test_order_is_graded_then_lexicographic():
     a, b, c = Monomial.var(0), Monomial.var(1), Monomial.var(2)
     # degree dominates
