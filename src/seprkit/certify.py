@@ -6,11 +6,13 @@ point):
 
 * an identically zero minor guarantees 0;
 * a minor with all-positive (all-negative) coefficients guarantees + (-);
-* a pivot case-split certificate: a pivot polynomial D and decompositions
-  m = q*D + r for every nonzero k-minor m, with sign conclusions per case
-  sign(D) in {+, -, 0} drawn from sound coefficient rules.  A sign concluded
-  in all three cases holds at every positive point, because each point lands
-  in exactly one case.
+* a pivot case-split certificate: a pivot polynomial D, found by testing
+  the mixed k-minors only (a constant-sign minor concludes only its own
+  sign, guaranteed already), and decompositions m = q*D + r for every
+  nonzero k-minor m, with sign conclusions per case sign(D) in {+, -, 0}
+  drawn from sound coefficient rules.  A sign concluded in all three cases
+  holds at every positive point, because each point lands in exactly one
+  case.
 
 ``analyze`` runs the pipeline on any square matrix, assuming no answer;
 ``check_expected`` checks it against an expected sepr-sequence given as
@@ -73,6 +75,7 @@ _CONSTANT_SIGN = {
     CoeffSignSummary.ALL_POSITIVE: "+",
     CoeffSignSummary.ALL_NEGATIVE: "-",
 }
+_NEGATED = {"0": "0", "+": "-", "-": "+", None: None}
 
 # The expected sign sets that a level row proves exactly.
 _ZERO_ONLY = frozenset({"0"})
@@ -93,10 +96,7 @@ class CaseDecomposition:
     when_zero: str | None
 
     def concluded(self, case: str) -> str | None:
-        try:
-            return {"D>0": self.when_pos, "D<0": self.when_neg, "D=0": self.when_zero}[case]
-        except KeyError:
-            raise ValueError(f"unknown case {case!r}") from None
+        return (self.when_pos, self.when_neg, self.when_zero)[_CASE_KEYS.index(case)]
 
     def identity_holds(self, pivot: Polynomial) -> bool:
         return self.q * pivot + self.r == self.minor
@@ -115,16 +115,16 @@ def check_case_rule(m: Polynomial, D: Polynomial,
                     subset: IndexSet | None = None) -> CaseDecomposition:
     """Divide m by the pivot and apply the sound sign rules case by case.
 
-    With (q, r) = reduce_by(m, D) and s(x) short for coeff_sign_summary:
+    With (q, r) = reduce_by(m, D), sign(x) is the sign that x's coefficients
+    share (all zero, all positive or all negative), else None (unknown):
 
-    * constant-sign m (s(m) all-zero / all-positive / all-negative) gets its
-      sign in all three cases;
-    * case D=0 (where m = r): sign from s(r) when it is constant;
-    * case D>0: + when s(q) all-positive and s(r) in {all-positive, all-zero},
-      - when s(q) all-negative and s(r) in {all-negative, all-zero};
-    * case D<0: the same two rules with the concluded sign flipped.
+    * constant-sign m gets sign(m) in all three cases;
+    * otherwise, as m = q*D + r: case D>0 concludes the sign of a sum of
+      signs sign(q) and sign(r), case D<0 that of -sign(q) and sign(r), and
+      case D=0 (where m = r) concludes sign(r).
 
-    Anything not covered stays unknown (None); the rules never guess.
+    A sum's sign is unknown when a summand's is or the two oppose; the rules
+    never guess.
     """
     if D.is_zero():
         raise ValueError("zero pivot")
@@ -134,22 +134,24 @@ def check_case_rule(m: Polynomial, D: Polynomial,
     if fixed is not None:
         return CaseDecomposition(subset, m, q, r, fixed, fixed, fixed)
 
-    sq = q.coeff_sign_summary()
-    sr = r.coeff_sign_summary()
-    when_zero = _CONSTANT_SIGN.get(sr)
+    sq = _CONSTANT_SIGN.get(q.coeff_sign_summary())
+    sr = _CONSTANT_SIGN.get(r.coeff_sign_summary())
+    return CaseDecomposition(subset, m, q, r,
+                             _sum_sign(sq, sr), _sum_sign(_NEGATED[sq], sr), sr)
 
-    when_pos = when_neg = None
-    if sq is CoeffSignSummary.ALL_POSITIVE:
-        if sr in (CoeffSignSummary.ALL_POSITIVE, CoeffSignSummary.ALL_ZERO):
-            when_pos = "+"
-        if sr in (CoeffSignSummary.ALL_NEGATIVE, CoeffSignSummary.ALL_ZERO):
-            when_neg = "-"
-    elif sq is CoeffSignSummary.ALL_NEGATIVE:
-        if sr in (CoeffSignSummary.ALL_NEGATIVE, CoeffSignSummary.ALL_ZERO):
-            when_pos = "-"
-        if sr in (CoeffSignSummary.ALL_POSITIVE, CoeffSignSummary.ALL_ZERO):
-            when_neg = "+"
-    return CaseDecomposition(subset, m, q, r, when_pos, when_neg, when_zero)
+
+def _sum_sign(a: str | None, b: str | None) -> str | None:
+    """Sign of x + y from sign(x) = a and sign(y) = b (None: unknown)."""
+    if a == "0" or a == b:
+        return b
+    return a if b == "0" else None
+
+
+def _concluded_everywhere(decompositions: Sequence[CaseDecomposition]) -> frozenset:
+    """Signs concluded by at least one decomposition in every case."""
+    return frozenset.intersection(*(
+        frozenset(dec.concluded(case) for dec in decompositions) - {None}
+        for case in _CASE_KEYS))
 
 
 @dataclass(frozen=True)
@@ -170,10 +172,7 @@ class Certificate:
 
     def signs_concluded_everywhere(self) -> frozenset:
         """Signs concluded by at least one decomposition in every case."""
-        per_case = []
-        for case in _CASE_KEYS:
-            per_case.append({dec.concluded(case) for dec in self.decompositions} - {None})
-        return frozenset(set.intersection(*per_case)) if per_case else frozenset()
+        return _concluded_everywhere(self.decompositions)
 
     def to_document(self) -> dict:
         return {
@@ -209,8 +208,7 @@ def discover_pivots(minors: Sequence[Polynomial]) -> list[Polynomial]:
     return [seen[key] for key in sorted(seen)]
 
 
-def certify_level(matrix: SymMatrix, k: int,
-                  minors: MinorTable | None = None) -> LevelCertification:
+def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertification:
     """Prove as much of the order-k sign set as the exact rules allow.
 
     Returns (guaranteed, method, certificate).  The guarantee reads: for
@@ -223,33 +221,27 @@ def certify_level(matrix: SymMatrix, k: int,
     """
     if not 1 <= k <= matrix.n:
         raise ValueError(f"order {k} out of range 1..{matrix.n}")
-    if minors is None:
-        minors = all_principal_minors(matrix)
 
-    summaries = [(mask, minors.entries[mask].coeff_sign_summary())
-                 for mask in minors.masks_of_order(k)]
-    present = {summary for _, summary in summaries}
-    guaranteed = {_CONSTANT_SIGN[summary] for summary in present if summary in _CONSTANT_SIGN}
-    if present == {CoeffSignSummary.ALL_ZERO}:
-        return LevelCertification(frozenset(guaranteed), METHOD_ALL_ZERO, None)
-
-    mixed = [minors.entries[mask] for mask, summary in summaries
-             if summary is CoeffSignSummary.MIXED_SIGNS]
+    level = []
+    for mask in minors.masks_of_order(k):
+        m = minors.entries[mask]
+        level.append((mask, m, _CONSTANT_SIGN.get(m.coeff_sign_summary())))
+    guaranteed = frozenset(sign for _, _, sign in level) - {None}
+    mixed = [m for _, m, sign in level if sign is None]
+    if not mixed and guaranteed == _ZERO_ONLY:
+        return LevelCertification(guaranteed, METHOD_ALL_ZERO, None)
     missing = {"+", "-"} - guaranteed if mixed else set()
     if not missing:
-        return LevelCertification(frozenset(guaranteed), METHOD_CONSTANT_SIGN, None)
+        return LevelCertification(guaranteed, METHOD_CONSTANT_SIGN, None)
 
-    nonzero = [(IndexSet.from_mask(mask), minors.entries[mask]) for mask, summary in summaries
-               if summary is not CoeffSignSummary.ALL_ZERO]
     for pivot in discover_pivots(mixed):
-        decs = tuple(check_case_rule(m, pivot, subset) for subset, m in nonzero)
-        provable = Certificate(k, pivot, decs, frozenset()).signs_concluded_everywhere()
-        provable = provable & {"+", "-"}
-        if missing <= provable:
-            level_guaranteed = frozenset(guaranteed | provable)
-            certificate = Certificate(k, pivot, decs, level_guaranteed)
-            return LevelCertification(level_guaranteed, METHOD_PIVOT, certificate)
-    return LevelCertification(frozenset(guaranteed), METHOD_SAMPLING, None)
+        if missing <= _concluded_everywhere([check_case_rule(m, pivot) for m in mixed]):
+            guaranteed |= missing
+            decs = tuple(check_case_rule(m, pivot, IndexSet.from_mask(mask))
+                         for mask, m, sign in level if sign != "0")
+            return LevelCertification(guaranteed, METHOD_PIVOT,
+                                      Certificate(k, pivot, decs, guaranteed))
+    return LevelCertification(guaranteed, METHOD_SAMPLING, None)
 
 
 @dataclass(frozen=True)
@@ -383,7 +375,16 @@ def analyze(matrix: SymMatrix, budget: int = DEFAULT_BUDGET,
 
 def _expected_orders(expected: Mapping, n: int) -> tuple[list[int], list[int], list[int]]:
     """Orders expected {0}, {0,+,-} and mixed; ValueError unless they fit n."""
-    sepr = [frozenset(signs) for signs in expected["sepr"]]
+    if not isinstance(expected, Mapping):
+        raise ValueError('expected data must be a mapping with "sepr" and "mixed_orders"')
+    sepr, mixed = expected.get("sepr"), expected.get("mixed_orders")
+    if not (isinstance(sepr, list) and all(
+            isinstance(signs, list) and all(s in ("0", "+", "-") for s in signs)
+            for signs in sepr)):
+        raise ValueError('expected "sepr" must be a list of lists of "0", "+" and "-"')
+    if not (isinstance(mixed, list) and all(type(k) is int for k in mixed)):
+        raise ValueError('expected "mixed_orders" must be a list of integers')
+    sepr = [frozenset(signs) for signs in sepr]
     if len(sepr) != n:
         raise ValueError(f"expected sepr-sequence has {len(sepr)} orders, "
                          f"but the matrix has n={n}")
@@ -391,7 +392,6 @@ def _expected_orders(expected: Mapping, n: int) -> tuple[list[int], list[int], l
     full = [k for k, signs in enumerate(sepr, start=1) if signs == _FULL]
     if len(zero) + len(full) != n:
         raise ValueError("only {0} and {0,+,-} can be checked as expected sign sets")
-    mixed = list(expected["mixed_orders"])
     if not all(1 <= k <= n for k in mixed):
         raise ValueError(f"mixed orders {mixed} out of range 1..{n}")
     return zero, full, mixed
@@ -471,13 +471,11 @@ def _mixed_level(report: SeprReport, k: int) -> ClaimResult:
         f"{nonzero} nonzero size-{k} minor(s), each with exact witnesses of both signs")
 
 
-def verify_paper_claims(budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED,
-                        matrix: SymMatrix | None = None) -> VerificationReport:
-    """``analyze`` the built-in matrix (or ``matrix``) and ``check_expected``
-    the result against the paper's data in ``data/paper12.json``."""
-    if matrix is None:
-        matrix = paper_matrix()
-    expected = PAPER_MATRIX_DOCUMENT["expected"]
-    _expected_orders(expected, matrix.n)  # fail before the costly analysis
+def verify_paper_claims(budget: int = DEFAULT_BUDGET,
+                        seed: int = DEFAULT_SEED) -> VerificationReport:
+    """``analyze`` the built-in matrix and ``check_expected`` the result
+    against the paper's data in ``data/paper12.json``."""
+    matrix = paper_matrix()
     report = analyze(matrix, budget, seed)
-    return VerificationReport(matrix.n, seed, budget, check_expected(report, expected), report)
+    claims = check_expected(report, PAPER_MATRIX_DOCUMENT["expected"])
+    return VerificationReport(matrix.n, seed, budget, claims, report)

@@ -13,7 +13,25 @@ import itertools
 import random
 from fractions import Fraction
 
-from seprkit import Monomial, Polynomial, RationalPoint, VariableTable
+from seprkit import (
+    CaseDecomposition,
+    Certificate,
+    CoeffSignSummary,
+    IndexSet,
+    LevelCertification,
+    Monomial,
+    Polynomial,
+    RationalPoint,
+    VariableTable,
+    discover_pivots,
+    reduce_by,
+)
+from seprkit.certify import (
+    METHOD_ALL_ZERO,
+    METHOD_CONSTANT_SIGN,
+    METHOD_PIVOT,
+    METHOD_SAMPLING,
+)
 
 
 def perm_sign(perm) -> int:
@@ -178,3 +196,58 @@ def certificate_mismatches(certificate, points) -> list[str]:
                 problems.append(
                     f"{dec.subset} case {case}: concluded {concluded}, got {actual}")
     return problems
+
+
+def case_rule_reference(m: Polynomial, D: Polynomial, subset=None) -> CaseDecomposition:
+    """The case rules as an explicit table over the coefficient-sign
+    summaries of m, q and r, with (q, r) = reduce_by(m, D)."""
+    q, r = reduce_by(m, D)
+    constant = {CoeffSignSummary.ALL_ZERO: "0", CoeffSignSummary.ALL_POSITIVE: "+",
+                CoeffSignSummary.ALL_NEGATIVE: "-"}
+    fixed = constant.get(m.coeff_sign_summary())
+    if fixed is not None:
+        return CaseDecomposition(subset, m, q, r, fixed, fixed, fixed)
+    sq, sr = q.coeff_sign_summary(), r.coeff_sign_summary()
+    when_pos = when_neg = None
+    if sq is CoeffSignSummary.ALL_POSITIVE:
+        if sr in (CoeffSignSummary.ALL_POSITIVE, CoeffSignSummary.ALL_ZERO):
+            when_pos = "+"
+        if sr in (CoeffSignSummary.ALL_NEGATIVE, CoeffSignSummary.ALL_ZERO):
+            when_neg = "-"
+    elif sq is CoeffSignSummary.ALL_NEGATIVE:
+        if sr in (CoeffSignSummary.ALL_NEGATIVE, CoeffSignSummary.ALL_ZERO):
+            when_pos = "-"
+        if sr in (CoeffSignSummary.ALL_POSITIVE, CoeffSignSummary.ALL_ZERO):
+            when_neg = "+"
+    return CaseDecomposition(subset, m, q, r, when_pos, when_neg, constant.get(sr))
+
+
+def certify_level_reference(matrix, k: int, minors) -> LevelCertification:
+    """``certify_level`` by exhaustive search: every candidate pivot
+    decomposes every nonzero k-minor under ``case_rule_reference``, and a
+    sign counts as proven when some decomposition concludes it in each of
+    the three cases."""
+    masks = [mask for mask in range(1, 1 << matrix.n) if mask.bit_count() == k]
+    summaries = [(mask, minors.entries[mask].coeff_sign_summary()) for mask in masks]
+    present = {summary for _, summary in summaries}
+    constant = {CoeffSignSummary.ALL_ZERO: "0", CoeffSignSummary.ALL_POSITIVE: "+",
+                CoeffSignSummary.ALL_NEGATIVE: "-"}
+    guaranteed = {constant[s] for s in present if s in constant}
+    if present == {CoeffSignSummary.ALL_ZERO}:
+        return LevelCertification(frozenset(guaranteed), METHOD_ALL_ZERO, None)
+    mixed = [minors.entries[mask] for mask, s in summaries
+             if s is CoeffSignSummary.MIXED_SIGNS]
+    missing = {"+", "-"} - guaranteed if mixed else set()
+    if not missing:
+        return LevelCertification(frozenset(guaranteed), METHOD_CONSTANT_SIGN, None)
+    nonzero = [(IndexSet.from_mask(mask), minors.entries[mask]) for mask, s in summaries
+               if s is not CoeffSignSummary.ALL_ZERO]
+    for pivot in discover_pivots(mixed):
+        decs = tuple(case_rule_reference(m, pivot, subset) for subset, m in nonzero)
+        provable = {"+", "-"}
+        for case in ("D>0", "D<0", "D=0"):
+            provable &= {dec.concluded(case) for dec in decs}
+        if missing <= provable:
+            level = frozenset(guaranteed | provable)
+            return LevelCertification(level, METHOD_PIVOT, Certificate(k, pivot, decs, level))
+    return LevelCertification(frozenset(guaranteed), METHOD_SAMPLING, None)

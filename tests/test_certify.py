@@ -8,6 +8,7 @@ import re
 import pytest
 
 from seprkit import (
+    CoeffSignSummary,
     IndexSet,
     Polynomial,
     RationalPoint,
@@ -32,10 +33,18 @@ from seprkit.certify import (
     METHOD_PIVOT,
     METHOD_SAMPLING,
     PASS,
+    VerificationReport,
 )
-from seprkit.minors import MAX_ENUM_DIM
+from seprkit.minors import MAX_ENUM_DIM, MinorTable
 from seprkit.symmatrix import PAPER_MATRIX_DOCUMENT
-from _oracles import certificate_mismatches, random_positive_point, sign_str
+from _oracles import (
+    case_rule_reference,
+    certificate_mismatches,
+    certify_level_reference,
+    random_polynomial,
+    random_positive_point,
+    sign_str,
+)
 
 SIZE9_SUBSETS = [IndexSet.of({1, 2, j} | set(range(7, 13)), 12) for j in (3, 4, 5, 6)]
 
@@ -49,6 +58,29 @@ def mutated_document():
     assert doc["entries"][7][4] == "b5"
     doc["entries"][7][4] = "-b5"  # flip the sign of the (8,5) entry
     return doc
+
+
+@pytest.fixture(scope="module")
+def mutated_report():
+    return analyze(matrix_from_document(mutated_document()))
+
+
+def random_signed_document(rng, n, density):
+    """Each nonzero entry a fresh variable, negated with probability 0.4."""
+    names = iter(f"x{i}" for i in range(1, n * n + 1))
+    entries = [[("-" if rng.random() < 0.4 else "") + next(names)
+                if rng.random() < density else "0" for _ in range(n)] for _ in range(n)]
+    return {"n": n, "entries": entries}
+
+
+# pivot-case-split at k = 3, where two all-positive minors join the certificate
+PIVOT_WITH_CONSTANT_MINORS = {"n": 5, "entries": [
+    ["-x1", "-x2", "0", "0", "x3"],
+    ["x4", "x5", "-x6", "-x7", "x8"],
+    ["-x9", "x10", "-x11", "x12", "0"],
+    ["0", "x13", "x14", "-x15", "-x16"],
+    ["x17", "x18", "-x19", "0", "x20"],
+]}
 
 
 # ------------------------------------------------------------- case rules
@@ -91,6 +123,26 @@ def test_case_rule_rejects_zero_pivot():
     x = Polynomial.variable(table, "x")
     with pytest.raises(ValueError, match="zero pivot"):
         check_case_rule(x, Polynomial.zero(table))
+
+
+def test_case_rule_matches_the_sign_table():
+    # m = q*D + r for random q, r and pivot D, over three variables
+    rng = random.Random(77)
+    table = VariableTable(["x", "y", "z"])
+    seen = set()
+    for _ in range(600):
+        D = random_polynomial(rng, table, max_terms=3, max_degree=2)
+        if D.degree < 1:
+            continue
+        m = random_polynomial(rng, table) * D + random_polynomial(rng, table)
+        got, want = check_case_rule(m, D), case_rule_reference(m, D)
+        assert (got.q, got.r, got.when_pos, got.when_neg, got.when_zero) == \
+            (want.q, want.r, want.when_pos, want.when_neg, want.when_zero)
+        if m.coeff_sign_summary() is CoeffSignSummary.MIXED_SIGNS:
+            seen.add((got.q.coeff_sign_summary(), got.r.coeff_sign_summary()))
+    # every pair of summaries of q and r that a mixed m can have: q = 0
+    # leaves r = m mixed, and any other q goes with any r
+    assert len(seen) == 13
 
 
 def test_case_rule_concluded_accessor(builtin_matrix, builtin_minors):
@@ -150,19 +202,45 @@ def test_certify_level_results_for_builtin_matrix(builtin_matrix, builtin_minors
     assert cert.signs_concluded_everywhere() >= frozenset("+-")
 
 
-def test_certify_level_computes_minors_when_not_supplied(builtin_matrix, builtin_minors):
-    assert certify_level(builtin_matrix, 3) == certify_level(builtin_matrix, 3, builtin_minors)
-    with pytest.raises(ValueError, match="out of range"):
-        certify_level(builtin_matrix, 13, builtin_minors)
-
-
-def test_certify_level_checks_the_order_before_enumerating():
+def test_certify_level_checks_the_order_before_enumerating(builtin_matrix, builtin_minors):
+    for k in (0, 13):
+        with pytest.raises(ValueError, match=f"order {k} out of range 1..12"):
+            certify_level(builtin_matrix, k, builtin_minors)
+    # the order is checked before the walk over the order's masks: an empty
+    # table would raise KeyError there, and a matrix this size cannot be
+    # enumerated at all
     table = VariableTable()
     n = MAX_ENUM_DIM + 1
     zero = Polynomial.zero(table)
     too_big = SymMatrix(table, [[zero] * n for _ in range(n)])
-    with pytest.raises(ValueError, match="out of range"):
-        certify_level(too_big, 0)
+    for k in (0, n + 1):
+        with pytest.raises(ValueError, match=f"order {k} out of range 1..{n}"):
+            certify_level(too_big, k, MinorTable(n, {}))
+
+
+def test_certify_level_matches_the_exhaustive_reference():
+    rng = random.Random(515)
+    documents = [PAPER_MATRIX_DOCUMENT, mutated_document(), PIVOT_WITH_CONSTANT_MINORS]
+    documents += [random_signed_document(rng, n, density)
+                  for n in (3, 4, 5) for density in (0.4, 1.0) for _ in range(8)]
+    methods = set()
+    pivot_beside_constant_minors = False
+    for document in documents:
+        matrix = matrix_from_document(document)
+        minors = all_principal_minors(matrix)
+        for k in range(1, matrix.n + 1):
+            got = certify_level(matrix, k, minors)
+            want = certify_level_reference(matrix, k, minors)
+            assert (got.guaranteed, got.method) == (want.guaranteed, want.method), (document, k)
+            assert (got.certificate is None) == (want.certificate is None), (document, k)
+            if got.certificate is not None:
+                assert got.certificate.to_document() == want.certificate.to_document()
+                pivot_beside_constant_minors |= any(
+                    dec.minor.coeff_sign_summary() is not CoeffSignSummary.MIXED_SIGNS
+                    for dec in got.certificate.decompositions)
+            methods.add(got.method)
+    assert methods == {METHOD_ALL_ZERO, METHOD_CONSTANT_SIGN, METHOD_PIVOT, METHOD_SAMPLING}
+    assert pivot_beside_constant_minors
 
 
 def test_certificate_soundness_on_sampled_and_projected_points(builtin_matrix, builtin_minors):
@@ -227,16 +305,16 @@ def test_verify_claims_with_budget_one_is_inconclusive():
     assert report.sepr.level(9).class_counts["unresolved"] == 4
 
 
-def test_verify_claims_reports_failures_of_a_mutated_matrix():
-    mutated = matrix_from_document(mutated_document())
-    report = verify_paper_claims(matrix=mutated)
-    by_name = {c.name: c for c in report.claims}
+def test_verify_claims_reports_failures_of_a_mutated_matrix(mutated_report):
+    claims = check_expected(mutated_report, PAPER_MATRIX_DOCUMENT["expected"])
+    by_name = {c.name: c for c in claims}
     assert by_name["zero-levels"].status == PASS  # the zero pattern is untouched
     assert by_name["full-levels"].status == FAIL
-    assert report.overall == FAIL
+    assert VerificationReport(12, 0, 1000, claims, mutated_report).overall == FAIL
     # the mutation breaks the D=0 half of the case split: nothing concludes
     # a negative sign there, so order 9 degrades to sampling-only
-    guaranteed, method, cert = certify_level(mutated, 9)
+    mutated = matrix_from_document(mutated_document())
+    guaranteed, method, cert = certify_level(mutated, 9, mutated_report.minors)
     assert method == METHOD_SAMPLING
     assert cert is None
     assert guaranteed == frozenset("0")
@@ -246,7 +324,7 @@ def test_verify_claims_rejects_a_matrix_of_another_size():
     # the paper's data fit n = 12 only; a 2x2 zero matrix once read PASS
     zero = matrix_from_document({"n": 2, "entries": [["0", "0"], ["0", "0"]]})
     with pytest.raises(ValueError, match=r"has 12 orders, but the matrix has n=2"):
-        verify_paper_claims(matrix=zero)
+        check_expected(analyze(zero), PAPER_MATRIX_DOCUMENT["expected"])
 
 
 # minors: {1,3} = -a*c, {2,3} = b*d, det = 0
@@ -281,6 +359,13 @@ def test_check_expected_on_a_small_matrix():
 @pytest.mark.parametrize("expected, message", [
     ({"sepr": [["0"], ["0", "+"], ["0"]], "mixed_orders": []}, "only {0} and {0,+,-}"),
     ({"sepr": [["0"], ["0", "+", "-"], ["0"]], "mixed_orders": [4]}, "[4] out of range 1..3"),
+    ([["0"], ["0", "+", "-"], ["0"]], "must be a mapping"),
+    ({"mixed_orders": []}, '"sepr" must be a list of lists'),
+    ({"sepr": [["0"], ["0", "+", "-"], ["0"]]}, '"mixed_orders" must be a list of integers'),
+    ({"sepr": [["0"], ["0", "+", "-"], ["0"]], "mixed_orders": 2}, '"mixed_orders" must be'),
+    ({"sepr": [["0"], ["0", "+", "-"], ["0"]], "mixed_orders": ["2"]}, '"mixed_orders" must be'),
+    ({"sepr": [["0"], ["0", "+", "-"], ["0"]], "mixed_orders": [True]}, '"mixed_orders" must be'),
+    ({"sepr": ["0", "0+-", "0"], "mixed_orders": []}, '"sepr" must be a list of lists'),
 ])
 def test_check_expected_rejects_data_it_cannot_check(expected, message):
     report = analyze(matrix_from_document(SMALL_DOCUMENT))
@@ -288,14 +373,12 @@ def test_check_expected_rejects_data_it_cannot_check(expected, message):
         check_expected(report, expected)
 
 
-def test_mutated_matrix_size9_minors_still_take_both_signs():
+def test_mutated_matrix_size9_minors_still_take_both_signs(mutated_report):
     # the flipped entry changes one polynomial but not its mixed behavior
-    mutated = matrix_from_document(mutated_document())
-    minors = all_principal_minors(mutated)
-    report = verify_paper_claims(matrix=mutated)
-    by_name = {c.name: c for c in report.claims}
+    claims = check_expected(mutated_report, PAPER_MATRIX_DOCUMENT["expected"])
+    by_name = {c.name: c for c in claims}
     assert by_name["mixed-size-9"].status == PASS
-    changed = minors.minor(SIZE9_SUBSETS[2])
+    changed = mutated_report.minors.minor(SIZE9_SUBSETS[2])
     assert "b1*b5*b7" in str(changed)
 
 
