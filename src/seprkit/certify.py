@@ -22,6 +22,7 @@ data, reporting each claim honestly as PASS, FAIL, or INCONCLUSIVE.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .minors import MinorTable, all_principal_minors
@@ -222,11 +223,11 @@ def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertifi
     if not 1 <= k <= matrix.n:
         raise ValueError(f"order {k} out of range 1..{matrix.n}")
 
-    level = []
-    for mask in minors.masks_of_order(k):
-        m = minors.entries[mask]
-        level.append((mask, m, _CONSTANT_SIGN.get(m.coeff_sign_summary())))
+    nonzero = minors.nonzero_of_order(k)
+    level = [(mask, m, _CONSTANT_SIGN.get(m.coeff_sign_summary())) for mask, m in nonzero]
     guaranteed = frozenset(sign for _, _, sign in level) - {None}
+    if len(nonzero) < comb(matrix.n, k):
+        guaranteed |= _ZERO_ONLY
     mixed = [m for _, m, sign in level if sign is None]
     if not mixed and guaranteed == _ZERO_ONLY:
         return LevelCertification(guaranteed, METHOD_ALL_ZERO, None)
@@ -238,7 +239,7 @@ def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertifi
         if missing <= _concluded_everywhere([check_case_rule(m, pivot) for m in mixed]):
             guaranteed |= missing
             decs = tuple(check_case_rule(m, pivot, IndexSet.from_mask(mask))
-                         for mask, m, sign in level if sign != "0")
+                         for mask, m in nonzero)
             return LevelCertification(guaranteed, METHOD_PIVOT,
                                       Certificate(k, pivot, decs, guaranteed))
     return LevelCertification(guaranteed, METHOD_SAMPLING, None)
@@ -268,7 +269,9 @@ class LevelSummary:
 @dataclass(frozen=True)
 class SeprReport:
     """Per-order certification summary for a whole matrix, k = 1..n, with
-    the minor table and the per-minor verdicts (keyed by mask) behind it."""
+    the minor table and the per-minor verdicts behind it.  ``classes``
+    holds a verdict, keyed by mask, for each minor stored in
+    ``minors.entries``; every absent mask is Zero."""
 
     levels: tuple[LevelSummary, ...]
     minors: MinorTable
@@ -357,13 +360,16 @@ class VerificationReport:
 
 def analyze(matrix: SymMatrix, budget: int = DEFAULT_BUDGET,
             seed: int = DEFAULT_SEED) -> SeprReport:
-    """The whole pipeline on any square matrix: enumerate every principal
-    minor, classify each one once (``budget`` and ``seed`` drive the witness
-    search), certify every order k = 1..n and count the classes per order."""
+    """The whole pipeline on any square matrix: enumerate the principal
+    minors, classify each nonzero one once (``budget`` and ``seed`` drive
+    the witness search), certify every order k = 1..n and count the classes
+    per order, the C(n,k) minus stored k-minors as Zero."""
     minors = all_principal_minors(matrix)
     classes = {mask: classify_polynomial(m, budget=budget, seed=seed)
                for mask, m in minors.entries.items()}
     counts = [{kind.value: 0 for kind in SignKind} for _ in range(matrix.n)]
+    for k, order_counts in enumerate(counts, start=1):
+        order_counts[SignKind.ZERO.value] = comb(matrix.n, k) - len(minors.nonzero_of_order(k))
     for mask, verdict in classes.items():
         counts[mask.bit_count() - 1][verdict.kind.value] += 1
     levels = []
@@ -445,12 +451,10 @@ def _full_levels(levels: list[LevelSummary]) -> ClaimResult:
 
 def _mixed_level(report: SeprReport, k: int) -> ClaimResult:
     name = f"mixed-size-{k}"
-    problems, unresolved, nonzero = [], [], 0
-    for mask in report.minors.masks_of_order(k):
-        m, verdict = report.minors.entries[mask], report.classes[mask]
-        if verdict.kind is SignKind.ZERO:
-            continue
-        nonzero += 1
+    problems, unresolved = [], []
+    nonzero = report.minors.nonzero_of_order(k)
+    for mask, m in nonzero:
+        verdict = report.classes[mask]
         subset = IndexSet.from_mask(mask)
         if verdict.kind is SignKind.MIXED:
             if not (m.eval_at(verdict.pos_witness) > 0 > m.eval_at(verdict.neg_witness)):
@@ -468,7 +472,7 @@ def _mixed_level(report: SeprReport, k: int) -> ClaimResult:
                            "witness search incomplete for " + ", ".join(unresolved))
     return ClaimResult(
         name, PASS,
-        f"{nonzero} nonzero size-{k} minor(s), each with exact witnesses of both signs")
+        f"{len(nonzero)} nonzero size-{k} minor(s), each with exact witnesses of both signs")
 
 
 def verify_paper_claims(budget: int = DEFAULT_BUDGET,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .certify import FAIL, INCONCLUSIVE, PASS, verify_paper_claims
@@ -158,17 +157,7 @@ def _load_assignment(matrix: SymMatrix, path: str) -> RationalPoint:
         document = json.load(handle)
     if not isinstance(document, dict):
         raise ValueError("assignment document must be a JSON object")
-    mapping = {}
-    for name, value in document.items():
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise ValueError(
-                f"assignment for {name!r} must be an integer or a 'p/q' string")
-        try:
-            mapping[name] = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"assignment for {name!r} is not a valid rational:"
-                             f" {value!r}") from None
-    return RationalPoint.from_mapping(matrix.table, mapping)
+    return RationalPoint.from_mapping(matrix.table, document)
 
 
 def _cmd_sepr(args: argparse.Namespace) -> int:
@@ -186,7 +175,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.k is not None and args.k > matrix.n:
         raise ValueError(f"order {args.k} out of range 1..{matrix.n}")
     minors = all_principal_minors(matrix)
-    masks = minors.entries if args.k is None else minors.masks_of_order(args.k)
+    masks = range(1, 1 << matrix.n) if args.k is None else minors.masks_of_order(args.k)
     for mask in masks:
         verdict = classify_polynomial(minors.minor(mask),
                                       budget=args.budget, seed=args.seed)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Sequence
 
 from .minors import minor_values_at
@@ -185,13 +186,21 @@ class SeprSequence:
 
 def sepr_at_point(matrix: SymMatrix, point: RationalPoint) -> SeprSequence:
     """Exact sepr-sequence of ``matrix`` at a strictly positive point:
-    s_k collects the signs of all C(n,k) principal k x k minors."""
+    s_k collects the signs of all C(n,k) principal k x k minors.  Only the
+    cycle-cover masks are evaluated; when they are fewer than C(n,k), some
+    k-minor is identically zero and s_k holds 0."""
     if not point.is_strictly_positive():
         raise ValueError("point must be strictly positive")
     if point.table.names[: len(matrix.table)] != matrix.table.names:
         raise ValueError("point does not assign every matrix variable")
-    values = minor_values_at(matrix, point)
-    signs: list[set] = [set() for _ in range(matrix.n)]
-    for mask, value in values.items():
-        signs[mask.bit_count() - 1].add(sign_of(value))
+    n = matrix.n
+    signs: list[set] = [set() for _ in range(n)]
+    covers = [0] * n
+    for mask, value in minor_values_at(matrix, point).items():
+        order = mask.bit_count() - 1
+        signs[order].add(sign_of(value))
+        covers[order] += 1
+    for order, count in enumerate(covers):
+        if count < comb(n, order + 1):
+            signs[order].add("0")
     return SeprSequence([frozenset(s) for s in signs])

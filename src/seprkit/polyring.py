@@ -218,17 +218,27 @@ class RationalPoint:
     def from_mapping(table: VariableTable, mapping: Mapping[str, object]) -> "RationalPoint":
         """Build a point from name -> value; every table variable required.
 
-        Values may be ints, Fractions, or strings like ``"3/4"``.
+        Values may be ints, Fractions, or strings like ``"3/4"``; a float or
+        a bool raises ValueError naming the variable, as does a string that
+        is no rational number.
         """
-        unknown = set(mapping) - set(table.names)
+        exact = {}
+        for name, value in mapping.items():
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+                raise ValueError(
+                    f"assignment for {name!r} must be an integer or a 'p/q' string")
+            try:
+                exact[name] = Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"assignment for {name!r} is not a valid rational:"
+                                 f" {value!r}") from None
+        unknown = set(exact) - set(table.names)
         if unknown:
             raise ValueError(f"unknown variable {sorted(unknown)[0]!r}")
-        values = []
         for name in table:
-            if name not in mapping:
+            if name not in exact:
                 raise ValueError(f"variable {name!r} unassigned")
-            values.append(Fraction(mapping[name]))  # type: ignore[arg-type]
-        return RationalPoint(table, tuple(values))
+        return RationalPoint(table, tuple(exact[name] for name in table))
 
     def value(self, index: int) -> Fraction:
         if index >= len(self.values):

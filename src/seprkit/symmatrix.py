@@ -88,12 +88,6 @@ class SymMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> Polynomial:
-        """1-based entry access."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"entry ({i},{j}) out of range for n={self.n}")
-        return self.rows[i - 1][j - 1]
-
     def principal_submatrix(self, selection: "IndexSet | Iterable[int]") -> "SymMatrix":
         if not isinstance(selection, IndexSet):
             selection = IndexSet.of(selection, self.n)
@@ -101,9 +95,6 @@ class SymMatrix:
             raise ValueError("index out of range")
         picked = [i - 1 for i in selection]
         return SymMatrix(self.table, [[self.rows[r][c] for c in picked] for r in picked])
-
-    def transpose(self) -> "SymMatrix":
-        return SymMatrix(self.table, [list(col) for col in zip(*self.rows)] if self.rows else [])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymMatrix):

@@ -22,6 +22,7 @@ from seprkit import (
     Monomial,
     Polynomial,
     RationalPoint,
+    SymMatrix,
     VariableTable,
     discover_pivots,
     reduce_by,
@@ -87,6 +88,25 @@ def sparse_perm_det(rows, zero):
     return result
 
 
+def principal_subgrid(grid, mask):
+    index = [i for i in range(len(grid)) if mask >> i & 1]
+    return [[grid[i][j] for j in index] for i in index]
+
+
+def cycle_cover_masks_reference(grid) -> list[int]:
+    """Masks S (bit i selects row/column i) such that some permutation of
+    S lies in the support of ``grid``, found by trying every permutation.
+    Exponential in n; keep n <= 7."""
+    n = len(grid)
+    covers = []
+    for mask in range(1, 1 << n):
+        index = [i for i in range(n) if mask >> i & 1]
+        if any(all(grid[i][j] for i, j in zip(index, perm))
+               for perm in itertools.permutations(index)):
+            covers.append(mask)
+    return covers
+
+
 def random_int_grid(rng: random.Random, n: int, lo: int = -9, hi: int = 9):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
@@ -94,6 +114,10 @@ def random_int_grid(rng: random.Random, n: int, lo: int = -9, hi: int = 9):
 def constant_matrix(table: VariableTable, grid):
     """Wrap an integer grid as rows of constant polynomials."""
     return [[Polynomial.constant(table, value) for value in row] for row in grid]
+
+
+def transposed(matrix: SymMatrix) -> SymMatrix:
+    return SymMatrix(matrix.table, [list(col) for col in zip(*matrix.rows)])
 
 
 def random_monomial(rng: random.Random, nvars: int, max_degree: int = 4) -> Monomial:
@@ -228,19 +252,19 @@ def certify_level_reference(matrix, k: int, minors) -> LevelCertification:
     sign counts as proven when some decomposition concludes it in each of
     the three cases."""
     masks = [mask for mask in range(1, 1 << matrix.n) if mask.bit_count() == k]
-    summaries = [(mask, minors.entries[mask].coeff_sign_summary()) for mask in masks]
+    summaries = [(mask, minors.minor(mask).coeff_sign_summary()) for mask in masks]
     present = {summary for _, summary in summaries}
     constant = {CoeffSignSummary.ALL_ZERO: "0", CoeffSignSummary.ALL_POSITIVE: "+",
                 CoeffSignSummary.ALL_NEGATIVE: "-"}
     guaranteed = {constant[s] for s in present if s in constant}
     if present == {CoeffSignSummary.ALL_ZERO}:
         return LevelCertification(frozenset(guaranteed), METHOD_ALL_ZERO, None)
-    mixed = [minors.entries[mask] for mask, s in summaries
+    mixed = [minors.minor(mask) for mask, s in summaries
              if s is CoeffSignSummary.MIXED_SIGNS]
     missing = {"+", "-"} - guaranteed if mixed else set()
     if not missing:
         return LevelCertification(frozenset(guaranteed), METHOD_CONSTANT_SIGN, None)
-    nonzero = [(IndexSet.from_mask(mask), minors.entries[mask]) for mask, s in summaries
+    nonzero = [(IndexSet.from_mask(mask), minors.minor(mask)) for mask, s in summaries
                if s is not CoeffSignSummary.ALL_ZERO]
     for pivot in discover_pivots(mixed):
         decs = tuple(case_rule_reference(m, pivot, subset) for subset, m in nonzero)

@@ -206,16 +206,16 @@ def test_certify_level_checks_the_order_before_enumerating(builtin_matrix, built
     for k in (0, 13):
         with pytest.raises(ValueError, match=f"order {k} out of range 1..12"):
             certify_level(builtin_matrix, k, builtin_minors)
-    # the order is checked before the walk over the order's masks: an empty
-    # table would raise KeyError there, and a matrix this size cannot be
-    # enumerated at all
+    # the order is checked before the walk over the order's minors: with an
+    # empty table that walk would conclude a level for any k, and a matrix
+    # this size cannot be enumerated at all
     table = VariableTable()
     n = MAX_ENUM_DIM + 1
     zero = Polynomial.zero(table)
     too_big = SymMatrix(table, [[zero] * n for _ in range(n)])
     for k in (0, n + 1):
         with pytest.raises(ValueError, match=f"order {k} out of range 1..{n}"):
-            certify_level(too_big, k, MinorTable(n, {}))
+            certify_level(too_big, k, MinorTable(n, {}, zero))
 
 
 def test_certify_level_matches_the_exhaustive_reference():

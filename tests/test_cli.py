@@ -112,6 +112,20 @@ def test_sepr_rejects_bad_assignments(tmp_path, patch):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("value, message", [
+    (0.5, "error: assignment for 'a1' must be an integer or a 'p/q' string"),
+    (True, "error: assignment for 'a1' must be an integer or a 'p/q' string"),
+    ("1/0", "error: assignment for 'a1' is not a valid rational: '1/0'"),
+])
+def test_sepr_assignment_errors_name_the_variable(tmp_path, value, message):
+    assignment = {name: "1" for name in PAPER_MATRIX_DOCUMENT["variables"]}
+    assignment["a1"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(assignment))
+    code, _, err = run_cli("sepr", "--assign", str(path))
+    assert (code, err) == (3, message + "\n")
+
+
 def test_sepr_needs_exactly_one_point_source():
     assert run_cli("sepr")[0] == 3
     assert run_cli("sepr", "--all-ones", "--assign", "x.json")[0] == 3

@@ -11,6 +11,7 @@ from seprkit import (
     IndexSet,
     MinorTable,
     Polynomial,
+    RationalPoint,
     SymMatrix,
     VariableTable,
     all_principal_minors,
@@ -18,13 +19,16 @@ from seprkit import (
     minor_values_at,
     parse_entry,
 )
-from seprkit.minors import MAX_ENUM_DIM, _symbolic_engine
+from seprkit.minors import MAX_ENUM_DIM, _cycle_cover_masks, _symbolic_engine
 from _oracles import (
     constant_matrix,
+    cycle_cover_masks_reference,
     leibniz_det,
+    principal_subgrid,
     random_int_grid,
     random_positive_point,
     sparse_perm_det,
+    transposed,
 )
 
 
@@ -55,7 +59,7 @@ def test_transpose_invariance_and_row_swap_antisymmetry():
         n = rng.randint(2, 5)
         grid = random_int_grid(rng, n)
         m = int_matrix(table, grid)
-        assert determinant(m.transpose()) == determinant(m)
+        assert determinant(transposed(m)) == determinant(m)
         i, j = rng.sample(range(n), 2)
         assert determinant(int_matrix(table, swap_rows(grid, i, j))) == -determinant(m)
 
@@ -136,10 +140,10 @@ def test_minor_values_match_symbolic_evaluation(builtin_matrix, builtin_minors):
     for _ in range(3):
         point = random_positive_point(rng, builtin_matrix.table)
         values = minor_values_at(builtin_matrix, point)
-        assert set(values) == set(builtin_minors.entries)
-        for mask, value in values.items():
-            assert value == builtin_minors.minor(mask).eval_at(point)
-            assert isinstance(value, Fraction)
+        assert set(builtin_minors.entries) <= set(values)
+        assert all(isinstance(value, Fraction) for value in values.values())
+        for mask in range(1, 1 << builtin_matrix.n):
+            assert values.get(mask, 0) == builtin_minors.minor(mask).eval_at(point)
 
 
 # ------------------------------------------- sparse supports and zero minors
@@ -166,11 +170,6 @@ def sparse_grid(rng, n, entry):
             for c in block:
                 grid[r][c] = u[r] * v[c]
     return grid
-
-
-def principal_subgrid(grid, mask):
-    index = [i for i in range(len(grid)) if mask >> i & 1]
-    return [[grid[i][j] for j in index] for i in index]
 
 
 def has_empty_line(grid, rmask, cmask):
@@ -222,16 +221,104 @@ def test_point_values_match_symbolic_minors_on_sparse_grids():
         minors = all_principal_minors(m)
         point = random_positive_point(rng, table)
         values = minor_values_at(m, point)
-        assert set(values) == set(minors.entries)
-        for mask, value in values.items():
+        assert set(minors.entries) <= set(values)
+        for mask in range(1, 1 << n):
             symbolic = minors.minor(mask)
             assert symbolic == leibniz_det(principal_subgrid(rows, mask))
-            assert value == symbolic.eval_at(point), f"trial {trial}, mask {mask:b}"
+            assert values.get(mask, 0) == symbolic.eval_at(point), \
+                f"trial {trial}, mask {mask:b}"
+
+
+def test_point_values_keep_the_cover_masks_of_entries_that_vanish():
+    # the keys are the cover masks of the symbolic support, so a nonzero
+    # symbolic minor keeps its mask even where an entry evaluates to 0
+    table = VariableTable(["a", "b"])
+    grid = [["a - b", "1"], ["1", "a - b"]]
+    m = SymMatrix(table, [[parse_entry(text, table) for text in row] for row in grid])
+    point = RationalPoint.from_mapping(table, {"a": "3/2", "b": "3/2"})
+    assert minor_values_at(m, point) == {0b01: 0, 0b10: 0, 0b11: -1}
+    assert set(all_principal_minors(m).entries) == {0b01, 0b10, 0b11}
 
 
 def test_masks_of_order_equals_the_popcount_scan():
     for n in range(1, 11):
-        table = MinorTable(n, dict.fromkeys(range(1, 1 << n)))
+        table = MinorTable(n, {}, Polynomial.zero(VariableTable()))
         for k in range(-1, n + 2):
             expected = [mask for mask in range(1, 1 << n) if mask.bit_count() == k]
             assert list(table.masks_of_order(k)) == expected, (n, k)
+
+
+# ------------------------------------------------------- cycle-cover masks
+
+
+def support_grid(rng, n):
+    """A random signed integer grid of one of several support shapes:
+    sparse or dense, loops on the diagonal, symmetric pairs (2-cycles), or
+    a forced empty row or column."""
+    density = rng.choice([0.15, 0.3, 0.5, 1.0])
+    grid = [[rng.choice([-1, 1]) * rng.randint(1, 9) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(n)]
+    shape = rng.choice(["plain", "loops", "no-loops", "two-cycles", "empty-row",
+                        "empty-column"])
+    i = rng.randrange(n)
+    if shape == "loops":
+        for j in range(n):
+            grid[j][j] = grid[j][j] or rng.randint(1, 9)
+    elif shape == "no-loops":
+        for j in range(n):
+            grid[j][j] = 0
+    elif shape == "two-cycles":
+        for r in range(n):
+            for c in range(r):
+                if grid[r][c] or grid[c][r]:
+                    grid[r][c] = grid[r][c] or rng.randint(1, 9)
+                    grid[c][r] = grid[c][r] or -rng.randint(1, 9)
+    elif shape == "empty-row":
+        grid[i] = [0] * n
+    elif shape == "empty-column":
+        for row in grid:
+            row[i] = 0
+    return grid, shape
+
+
+def test_cycle_cover_masks_match_the_permutation_oracle():
+    rng = random.Random(6161)
+    shapes = set()
+    for trial in range(150):
+        n = rng.randint(1, 7)
+        grid, shape = support_grid(rng, n)
+        shapes.add(shape)
+        row_bits = [sum(1 << j for j in range(n) if grid[i][j]) for i in range(n)]
+        covers = _cycle_cover_masks(row_bits, n)
+        assert covers == cycle_cover_masks_reference(grid), f"trial {trial}: {grid}"
+        for mask in set(range(1, 1 << n)) - set(covers):
+            assert leibniz_det(principal_subgrid(grid, mask)) == 0, f"trial {trial}: {grid}"
+    assert len(shapes) == 6
+
+
+def test_cycle_cover_masks_of_known_supports():
+    assert _cycle_cover_masks([0, 0, 0], 3) == []
+    assert _cycle_cover_masks([0b001, 0b010, 0b100], 3) == list(range(1, 8))
+    # the 3-cycle 0 -> 1 -> 2 -> 0 and a loop at 1
+    assert _cycle_cover_masks([0b010, 0b110, 0b001], 3) == [0b010, 0b111]
+    assert _cycle_cover_masks([(1 << 10) - 1] * 10, 10) == list(range(1, 1 << 10))
+
+
+def test_minor_table_stores_only_nonzero_minors(builtin_matrix, builtin_minors):
+    n = builtin_matrix.n
+    assert list(builtin_minors.entries) == sorted(builtin_minors.entries)
+    assert all(not m.is_zero() for m in builtin_minors.entries.values())
+    assert {mask.bit_count() for mask in builtin_minors.entries} == {3, 6, 9}
+    assert len(builtin_minors) == 2 ** n - 1
+    stored = []
+    for k in range(-1, n + 2):
+        pairs = list(builtin_minors.nonzero_of_order(k))
+        assert pairs == [(mask, m) for mask, m in builtin_minors.entries.items()
+                         if mask.bit_count() == k]
+        stored += pairs
+    assert len(stored) == len(builtin_minors.entries)
+    zero = Polynomial.zero(builtin_matrix.table)
+    assert builtin_minors.minor(1) == zero and builtin_minors.minor(2 ** n - 1) == zero
+    for mask in (0, -1, 2 ** n):
+        with pytest.raises(KeyError):
+            builtin_minors.minor(mask)

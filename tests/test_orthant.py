@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -17,9 +18,11 @@ from seprkit import (
     classify_polynomial,
     format_sign_set,
     matrix_from_document,
+    minor_values_at,
     sepr_at_point,
 )
 from seprkit.orthant import sign_of
+from _oracles import leibniz_det, principal_subgrid, sign_str
 
 S = frozenset
 FULL = S("0+-")
@@ -158,6 +161,45 @@ def test_sepr_at_point_small_matrices():
     m = matrix_from_document(doc)
     seq = sepr_at_point(m, RationalPoint.all_ones(m.table))
     assert seq == (ZERO_ONLY, S("+"))
+
+
+def test_sepr_at_point_matches_leibniz_sign_sets():
+    # s_k from the Leibniz sum of every principal k x k submatrix of the
+    # evaluated grid; the inputs must include an order with no cycle-cover
+    # mask and a cover mask whose value cancels to 0 at the point although
+    # every mask of its order is a cover
+    rng = random.Random(818)
+    cases = [
+        ({"n": 3, "entries": [["0", "a", "0"], ["0", "0", "b"], ["c", "0", "0"]]},
+         {"a": "1", "b": "2", "c": "3"}),
+        ({"n": 2, "entries": [["a", "b"], ["c", "d"]]},
+         {"a": "2", "b": "3", "c": "4", "d": "6"}),
+    ]
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        names = iter(f"x{i}" for i in range(n * n))
+        entries = [[(rng.choice(["", "-", "2*"]) + next(names)) if rng.random() < 0.35
+                    else "0" for _ in range(n)] for _ in range(n)]
+        cases.append(({"n": n, "entries": entries}, None))
+    no_cover_order = cancelled_cover = False
+    for document, assignment in cases:
+        m = matrix_from_document(document)
+        if assignment is None:
+            assignment = {name: Fraction(rng.randint(1, 3), rng.randint(1, 2))
+                          for name in m.table.names}
+        point = RationalPoint.from_mapping(m.table, assignment)
+        grid = [[entry.eval_at(point) for entry in row] for row in m.rows]
+        expected = [set() for _ in range(m.n)]
+        for mask in range(1, 1 << m.n):
+            expected[mask.bit_count() - 1].add(
+                sign_str(leibniz_det(principal_subgrid(grid, mask))))
+        assert sepr_at_point(m, point) == expected, document
+        covers = minor_values_at(m, point)
+        for k in range(1, m.n + 1):
+            order_k = [value for mask, value in covers.items() if mask.bit_count() == k]
+            no_cover_order |= not order_k
+            cancelled_cover |= len(order_k) == comb(m.n, k) and 0 in order_k
+    assert no_cover_order and cancelled_cover
 
 
 def test_sepr_at_point_requires_positive_full_assignment(builtin_matrix):

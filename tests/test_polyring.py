@@ -237,6 +237,27 @@ def test_rational_point_construction_and_errors():
     assert RationalPoint.all_ones(table).values == (1, 1)
 
 
+@pytest.mark.parametrize("value, message", [
+    (0.1, "must be an integer or a 'p/q' string"),
+    (float("inf"), "must be an integer or a 'p/q' string"),
+    (True, "must be an integer or a 'p/q' string"),
+    (None, "must be an integer or a 'p/q' string"),
+    ("1/0", "is not a valid rational: '1/0'"),
+    ("y", "is not a valid rational: 'y'"),
+])
+def test_rational_point_rejects_inexact_values(value, message):
+    table = VariableTable(["x", "y"])
+    with pytest.raises(ValueError, match=f"^assignment for 'y' {message}"):
+        RationalPoint.from_mapping(table, {"x": 1, "y": value})
+
+
+def test_rational_point_accepts_ints_fractions_and_strings():
+    table = VariableTable(["x", "y", "z"])
+    p = RationalPoint.from_mapping(table, {"z": " -6/4 ", "x": Fraction(2, 3), "y": 5})
+    assert p.values == (Fraction(2, 3), Fraction(5), Fraction(-3, 2))
+    assert all(type(value) is Fraction for value in p.values)
+
+
 # ---------------------------------------------------------------- division
 
 
