@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# The only strings RationalPoint.from_mapping hands to Fraction.
+_RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
 
 
 class VariableTable:
@@ -218,9 +220,11 @@ class RationalPoint:
     def from_mapping(table: VariableTable, mapping: Mapping[str, object]) -> "RationalPoint":
         """Build a point from name -> value; every table variable required.
 
-        Values may be ints, Fractions, or strings like ``"3/4"``; a float or
-        a bool raises ValueError naming the variable, as does a string that
-        is no rational number.
+        Values may be ints, Fractions, or strings of an optional sign, digits
+        and an optional ``/digits`` such as ``"3/4"``; a float or a bool
+        raises ValueError naming the variable, as does any other string:
+        ``Fraction`` alone would also take ``"1e3000000"`` and build a
+        10-million-bit numerator.
         """
         exact = {}
         for name, value in mapping.items():
@@ -228,6 +232,8 @@ class RationalPoint:
                 raise ValueError(
                     f"assignment for {name!r} must be an integer or a 'p/q' string")
             try:
+                if isinstance(value, str) and not _RATIONAL_RE.fullmatch(value):
+                    raise ValueError(value)
                 exact[name] = Fraction(value)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"assignment for {name!r} is not a valid rational:"

@@ -1,6 +1,6 @@
 """Independent oracles and shared helpers for the test suite.
 
-The determinant oracles deliberately avoid the package's cofactor engine:
+The determinant oracles deliberately avoid the package's family-sum engine:
 ``leibniz_det`` is the textbook signed permutation sum, and
 ``sparse_perm_det`` is the same sum restricted to nonzero entries so it
 stays fast on very sparse matrices.  Any agreement between engine and

@@ -127,7 +127,7 @@ def test_criterion_4_point_sepr_agreement(builtin_matrix):
 
 
 def test_criterion_5_determinant_oracle():
-    with verdict(5, "memoized cofactor engine matches the Leibniz oracle on "
+    with verdict(5, "family-sum determinant engine matches the Leibniz oracle on "
                     "200+ random matrices (n <= 5)"):
         table = VariableTable()
         rng = random.Random(20240601)

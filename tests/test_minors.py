@@ -19,7 +19,7 @@ from seprkit import (
     minor_values_at,
     parse_entry,
 )
-from seprkit.minors import MAX_ENUM_DIM, _cycle_cover_masks, _symbolic_engine
+from seprkit.minors import MAX_ENUM_DIM, _family_sums
 from _oracles import (
     constant_matrix,
     cycle_cover_masks_reference,
@@ -172,14 +172,6 @@ def sparse_grid(rng, n, entry):
     return grid
 
 
-def has_empty_line(grid, rmask, cmask):
-    """True if some selected row or column has no nonzero in the selection."""
-    rows = [i for i in range(len(grid)) if rmask >> i & 1]
-    cols = [j for j in range(len(grid)) if cmask >> j & 1]
-    return (any(not any(grid[i][j] for j in cols) for i in rows)
-            or any(not any(grid[i][j] for i in rows) for j in cols))
-
-
 def test_all_principal_minors_match_leibniz_on_sparse_grids():
     table = VariableTable()
     rng = random.Random(4242)
@@ -196,12 +188,6 @@ def test_all_principal_minors_match_leibniz_on_sparse_grids():
         for mask in range(1, 1 << n):
             assert minors.minor(mask) == leibniz_det(principal_subgrid(grid, mask)), \
                 f"trial {trial}, mask {mask:b}: {grid}"
-        # A pair with an empty row or column is never expanded or memoised.
-        engine = _symbolic_engine(m)
-        for mask in range(1, 1 << n):
-            engine.det(mask, mask)
-        for rmask, cmask in engine.memo:
-            assert not has_empty_line(grid, rmask, cmask), f"trial {trial}: {grid}"
 
 
 def test_point_values_match_symbolic_minors_on_sparse_grids():
@@ -238,6 +224,14 @@ def test_point_values_keep_the_cover_masks_of_entries_that_vanish():
     point = RationalPoint.from_mapping(table, {"a": "3/2", "b": "3/2"})
     assert minor_values_at(m, point) == {0b01: 0, 0b10: 0, 0b11: -1}
     assert set(all_principal_minors(m).entries) == {0b01, 0b10, 0b11}
+    # the two 3-cycles of this support cancel, so the cover mask 0b111 has
+    # a zero minor: the table drops it and the point values keep it
+    grid = [["0", "a", "a"], ["a", "0", "a"], ["-a", "a", "0"]]
+    m = SymMatrix(table, [[parse_entry(text, table) for text in row] for row in grid])
+    assert set(all_principal_minors(m).entries) == {0b011, 0b101, 0b110}
+    square = Fraction(9, 4)
+    assert minor_values_at(m, point) == {0b011: -square, 0b101: square, 0b110: -square,
+                                         0b111: 0}
 
 
 def test_masks_of_order_equals_the_popcount_scan():
@@ -281,27 +275,42 @@ def support_grid(rng, n):
     return grid, shape
 
 
+def support_entries(grid):
+    return [[(j, x) for j, x in enumerate(row) if x] for row in grid]
+
+
 def test_cycle_cover_masks_match_the_permutation_oracle():
+    # the keys of the family sums are mask 0 and the cycle-cover masks, and
+    # every value, as every minor off the keys, is the Leibniz determinant
     rng = random.Random(6161)
     shapes = set()
     for trial in range(150):
         n = rng.randint(1, 7)
         grid, shape = support_grid(rng, n)
         shapes.add(shape)
-        row_bits = [sum(1 << j for j in range(n) if grid[i][j]) for i in range(n)]
-        covers = _cycle_cover_masks(row_bits, n)
-        assert covers == cycle_cover_masks_reference(grid), f"trial {trial}: {grid}"
-        for mask in set(range(1, 1 << n)) - set(covers):
-            assert leibniz_det(principal_subgrid(grid, mask)) == 0, f"trial {trial}: {grid}"
+        sums = _family_sums(support_entries(grid), 1)
+        assert sorted(sums) == [0] + cycle_cover_masks_reference(grid), f"trial {trial}: {grid}"
+        for mask in range(1 << n):
+            assert sums.get(mask, 0) == leibniz_det(principal_subgrid(grid, mask)), \
+                f"trial {trial}, mask {mask:b}: {grid}"
     assert len(shapes) == 6
 
 
 def test_cycle_cover_masks_of_known_supports():
-    assert _cycle_cover_masks([0, 0, 0], 3) == []
-    assert _cycle_cover_masks([0b001, 0b010, 0b100], 3) == list(range(1, 8))
+    assert _family_sums(support_entries([[0] * 3] * 3), 1) == {0: 1}
+    diagonal = [[2, 0, 0], [0, 3, 0], [0, 0, 5]]
+    assert _family_sums(support_entries(diagonal), 1) == {
+        0: 1, 0b001: 2, 0b010: 3, 0b011: 6, 0b100: 5, 0b101: 10, 0b110: 15, 0b111: 30}
+    # a 2-cycle takes the sign -1
+    assert _family_sums(support_entries([[0, 2], [3, 0]]), 1) == {0: 1, 0b11: -6}
     # the 3-cycle 0 -> 1 -> 2 -> 0 and a loop at 1
-    assert _cycle_cover_masks([0b010, 0b110, 0b001], 3) == [0b010, 0b111]
-    assert _cycle_cover_masks([(1 << 10) - 1] * 10, 10) == list(range(1, 1 << 10))
+    three_cycle = [[0, 2, 0], [0, 3, 5], [7, 0, 0]]
+    assert _family_sums(support_entries(three_cycle), 1) == {0: 1, 0b010: 3, 0b111: 70}
+    # a zero-valued entry is still an edge, so its masks stay keys
+    assert _family_sums([[(0, 0)], [(1, 4)]], 1) == {0: 1, 0b01: 0, 0b10: 4, 0b11: 0}
+    ones = _family_sums(support_entries([[1] * 10] * 10), 1)
+    assert sorted(ones) == list(range(1 << 10))
+    assert all(ones[mask] == (mask.bit_count() <= 1) for mask in ones)
 
 
 def test_minor_table_stores_only_nonzero_minors(builtin_matrix, builtin_minors):

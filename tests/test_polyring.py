@@ -244,6 +244,9 @@ def test_rational_point_construction_and_errors():
     (None, "must be an integer or a 'p/q' string"),
     ("1/0", "is not a valid rational: '1/0'"),
     ("y", "is not a valid rational: 'y'"),
+    ("1e3000000", "is not a valid rational: '1e3000000'"),
+    ("0.5", "is not a valid rational: '0.5'"),
+    ("1_000", "is not a valid rational: '1_000'"),
 ])
 def test_rational_point_rejects_inexact_values(value, message):
     table = VariableTable(["x", "y"])
