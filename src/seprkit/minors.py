@@ -15,6 +15,8 @@ point-evaluation path.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial, reduce
+from operator import add
 from typing import Iterator, Sequence
 
 from .polyring import Polynomial, RationalPoint
@@ -27,62 +29,76 @@ __all__ = ["MinorTable", "determinant", "all_principal_minors", "minor_values_at
 MAX_ENUM_DIM = 24
 
 
-def _family_sums(row_entries, one) -> dict:
-    """{mask: det A[mask]} for mask 0 (the empty matrix, ``one``) and every
-    nonempty union of pairwise disjoint support cycles; every other
-    principal minor is zero.
+def _family_sums(row_entries, one, total, required=0) -> dict:
+    """{mask: det A[mask]} for every mask that contains ``required`` and is
+    either 0 (the empty matrix, ``one``) or a union of pairwise disjoint
+    support cycles; every other principal minor is zero.
 
     ``row_entries[i]`` lists the (column, value) pairs of row i's support,
     the edges i -> column of the support digraph.  A value may be zero, as
     an entry that vanishes at a point is: the keys depend on the support
-    alone, and a sum that cancels to zero keeps its key.
+    alone, and a sum that cancels to zero keeps its key.  ``total`` adds a
+    nonempty list of values in one step, so a sum is built once per
+    round rather than once per term.
 
-    For v = n-1 down to 0, a path-sum DP walks the paths that start at v
-    and then visit only vertices above v.  A state is (last vertex, visited
+    For v = 0 up to n-1, a path-sum DP walks the paths that start at v and
+    then visit only vertices above v.  A state is (last vertex, visited
     mask) and carries the sum of its paths' edge products; the states are
     layered by path length, so each sum is complete before it extends.  An
     edge back to v closes the cycles on the visited mask C and adds
     path * a[u][v] to their weight W(C), which takes the permutation sign
-    (-1)^(|C|-1).  A family whose smallest vertex is v holds exactly one
-    cycle through v, so adding sums[r] * W(C) into sums[r | C] for every
-    union r of cycles above v that misses C reaches every family once;
-    different (r, C) pairs reach one union, so the step accumulates.
+    (-1)^(|C|-1).  The step then adds sums[r] * W(C) into sums[r | C] for
+    every union r found so far that misses C.  The cycles of a family have
+    distinct smallest vertices, so the family is reached once: at the step
+    of its cycle C with the largest one, from the union r of the others.
+    Different (r, C) pairs reach one union, so the step accumulates.  No
+    later cycle covers v, so once v is done a union that misses a vertex
+    of ``required`` up to v is dropped: for the one mask of a determinant
+    this keeps the unions of a diagonal matrix to one per step, not 2^n.
     """
     sums = {0: one}
-    for v in range(len(row_entries) - 1, -1, -1):
+    for v in range(len(row_entries)):
         start, above = 1 << v, -1 << (v + 1)
-        weights = {}
-        layer = {(v, start): one}
+        closed, layer = {}, {(v, start): one}
         while layer:
             extended = {}
             for (u, visited), path in layer.items():
                 for w, value in row_entries[u]:
                     bit = 1 << w
                     if bit == start:
-                        _accumulate(weights, visited, path * value)
+                        closed.setdefault(visited, []).append(path * value)
                     elif bit & above and not bit & visited:
-                        _accumulate(extended, (w, visited | bit), path * value)
-            layer = extended
-        families = list(sums.items())
-        for cycle, weight in weights.items():
+                        extended.setdefault((w, visited | bit), []).append(path * value)
+            layer = {state: total(paths) for state, paths in extended.items()}
+        joined = {}
+        for cycle, paths in closed.items():
+            weight = total(paths)
             if not cycle.bit_count() & 1:
                 weight = -weight
-            for r, base in families:
+            for r, base in sums.items():
                 if not r & cycle:
-                    _accumulate(sums, r | cycle, base * weight)
+                    joined.setdefault(r | cycle, []).append(base * weight)
+        for mask, terms in joined.items():
+            if mask in sums:
+                terms.append(sums[mask])
+            sums[mask] = total(terms)
+        if required & start:
+            sums = {r: value for r, value in sums.items() if r & start}
     return sums
 
 
-def _accumulate(sums: dict, key, term) -> None:
-    prev = sums.get(key)
-    sums[key] = term if prev is None else prev + term
+def _symbolic_sums(matrix: SymMatrix, required: int) -> dict:
+    """``_family_sums`` over the matrix's polynomial entries."""
+    table = matrix.table
+    row_entries = [[(j, entry) for j, entry in enumerate(row) if entry] for row in matrix.rows]
+    return _family_sums(row_entries, Polynomial.one(table), partial(Polynomial.sum_of, table),
+                        required)
 
 
 def determinant(matrix: SymMatrix) -> Polynomial:
     """Exact determinant polynomial; a 0x0 matrix yields 1."""
-    zero, one = Polynomial.zero(matrix.table), Polynomial.one(matrix.table)
-    row_entries = [[(j, entry) for j, entry in enumerate(row) if entry] for row in matrix.rows]
-    return _family_sums(row_entries, one).get((1 << matrix.n) - 1, zero)
+    full = (1 << matrix.n) - 1
+    return _symbolic_sums(matrix, full).get(full, Polynomial.zero(matrix.table))
 
 
 class MinorTable:
@@ -139,10 +155,9 @@ def all_principal_minors(matrix: SymMatrix) -> MinorTable:
     n = matrix.n
     if n > MAX_ENUM_DIM:
         raise ValueError(f"refusing to enumerate 2^{n} principal minors (n > {MAX_ENUM_DIM})")
-    zero, one = Polynomial.zero(matrix.table), Polynomial.one(matrix.table)
-    row_entries = [[(j, entry) for j, entry in enumerate(row) if entry] for row in matrix.rows]
-    sums = _family_sums(row_entries, one)
-    return MinorTable(n, {mask: sums[mask] for mask in sorted(sums) if mask and sums[mask]}, zero)
+    sums = _symbolic_sums(matrix, 0)
+    return MinorTable(n, {mask: sums[mask] for mask in sorted(sums) if mask and sums[mask]},
+                      Polynomial.zero(matrix.table))
 
 
 def minor_values_at(matrix: SymMatrix, point: RationalPoint) -> dict[int, Fraction]:
@@ -159,5 +174,5 @@ def minor_values_at(matrix: SymMatrix, point: RationalPoint) -> dict[int, Fracti
         raise ValueError(f"refusing to enumerate 2^{n} principal minors (n > {MAX_ENUM_DIM})")
     row_entries = [[(j, entry.eval_at(point)) for j, entry in enumerate(row) if entry]
                    for row in matrix.rows]
-    sums = _family_sums(row_entries, Fraction(1))
+    sums = _family_sums(row_entries, Fraction(1), partial(reduce, add))
     return {mask: sums[mask] for mask in sorted(sums) if mask}

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "VariableTable",
@@ -346,12 +346,22 @@ class Polynomial:
         _check_tables(self.table, other.table)
         return other
 
+    @staticmethod
+    def sum_of(table: VariableTable, polys: Sequence["Polynomial"]) -> "Polynomial":
+        """The sum of ``polys``, merged and sorted once rather than once per
+        addition."""
+        if len(polys) == 1:
+            _check_tables(table, polys[0].table)
+            return polys[0]
+        merged: dict[Monomial, int] = {}
+        for p in polys:
+            _check_tables(table, p.table)
+            for mono, coeff in p._terms.items():
+                merged[mono] = merged.get(mono, 0) + coeff
+        return Polynomial(table, merged)
+
     def __add__(self, other: "Polynomial | int") -> "Polynomial":
-        other = self._coerce(other)
-        merged = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            merged[mono] = merged.get(mono, 0) + coeff
-        return Polynomial(self.table, merged)
+        return Polynomial.sum_of(self.table, (self, self._coerce(other)))
 
     __radd__ = __add__
 

@@ -288,29 +288,68 @@ def test_cycle_cover_masks_match_the_permutation_oracle():
         n = rng.randint(1, 7)
         grid, shape = support_grid(rng, n)
         shapes.add(shape)
-        sums = _family_sums(support_entries(grid), 1)
+        sums = _family_sums(support_entries(grid), 1, sum)
         assert sorted(sums) == [0] + cycle_cover_masks_reference(grid), f"trial {trial}: {grid}"
         for mask in range(1 << n):
             assert sums.get(mask, 0) == leibniz_det(principal_subgrid(grid, mask)), \
                 f"trial {trial}, mask {mask:b}: {grid}"
+        # with a required mask, exactly the keys that contain it remain
+        required = rng.randrange(1 << n)
+        assert _family_sums(support_entries(grid), 1, sum, required) == {
+            mask: value for mask, value in sums.items() if mask & required == required}
     assert len(shapes) == 6
 
 
 def test_cycle_cover_masks_of_known_supports():
-    assert _family_sums(support_entries([[0] * 3] * 3), 1) == {0: 1}
+    assert _family_sums(support_entries([[0] * 3] * 3), 1, sum) == {0: 1}
     diagonal = [[2, 0, 0], [0, 3, 0], [0, 0, 5]]
-    assert _family_sums(support_entries(diagonal), 1) == {
+    assert _family_sums(support_entries(diagonal), 1, sum) == {
         0: 1, 0b001: 2, 0b010: 3, 0b011: 6, 0b100: 5, 0b101: 10, 0b110: 15, 0b111: 30}
     # a 2-cycle takes the sign -1
-    assert _family_sums(support_entries([[0, 2], [3, 0]]), 1) == {0: 1, 0b11: -6}
+    assert _family_sums(support_entries([[0, 2], [3, 0]]), 1, sum) == {0: 1, 0b11: -6}
     # the 3-cycle 0 -> 1 -> 2 -> 0 and a loop at 1
     three_cycle = [[0, 2, 0], [0, 3, 5], [7, 0, 0]]
-    assert _family_sums(support_entries(three_cycle), 1) == {0: 1, 0b010: 3, 0b111: 70}
+    assert _family_sums(support_entries(three_cycle), 1, sum) == {0: 1, 0b010: 3, 0b111: 70}
     # a zero-valued entry is still an edge, so its masks stay keys
-    assert _family_sums([[(0, 0)], [(1, 4)]], 1) == {0: 1, 0b01: 0, 0b10: 4, 0b11: 0}
-    ones = _family_sums(support_entries([[1] * 10] * 10), 1)
+    assert _family_sums([[(0, 0)], [(1, 4)]], 1, sum) == {0: 1, 0b01: 0, 0b10: 4, 0b11: 0}
+    ones = _family_sums(support_entries([[1] * 10] * 10), 1, sum)
     assert sorted(ones) == list(range(1 << 10))
     assert all(ones[mask] == (mask.bit_count() <= 1) for mask in ones)
+
+
+def test_determinant_of_a_sparse_matrix_is_linear_in_its_order():
+    # a union that misses a done vertex is dropped, so a diagonal matrix
+    # takes two sums per vertex and a tridiagonal one a path per pair
+    # (i, j); an engine that kept every union would build 2^n of them
+    def counted(limit):
+        calls = []
+
+        def total(terms):
+            calls.append(len(terms))
+            assert len(calls) <= limit, "the union step is building every cover mask"
+            return sum(terms)
+        return total
+
+    n = 40
+    diagonal = [[i + 2 if i == j else 0 for j in range(n)] for i in range(n)]
+    full = (1 << n) - 1
+    assert _family_sums(support_entries(diagonal), 1, counted(2 * n), full) == {
+        full: math.prod(range(2, n + 2))}
+    n = 30
+    rng = random.Random(30)
+    grid = [[rng.choice([-3, -1, 2, 5]) if abs(i - j) <= 1 else 0 for j in range(n)]
+            for i in range(n)]
+    before, det = 1, grid[0][0]  # the continuant recurrence
+    for k in range(1, n):
+        before, det = det, grid[k][k] * det - grid[k][k - 1] * grid[k - 1][k] * before
+    full = (1 << n) - 1
+    assert _family_sums(support_entries(grid), 1, counted(n * n), full) == {full: det}
+
+    table = VariableTable()
+    names = [f"x{i}" for i in range(40)]
+    rows = [[Polynomial.variable(table, name) if i == j else Polynomial.zero(table)
+             for j in range(40)] for i, name in enumerate(names)]
+    assert str(determinant(SymMatrix(table, rows))) == "*".join(names)
 
 
 def test_minor_table_stores_only_nonzero_minors(builtin_matrix, builtin_minors):
