@@ -9,7 +9,6 @@ floating point.
 
 from .polyring import (
     CoeffSignSummary,
-    Monomial,
     Polynomial,
     RationalPoint,
     VariableTable,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoeffSignSummary",
-    "Monomial",
     "Polynomial",
     "RationalPoint",
     "VariableTable",

@@ -20,7 +20,10 @@ the sum of the absolute coefficients) are checked against ``MAX_DEGREE``,
 :class:`ParseError` at the operator, so hostile input fails at once.  An
 integer literal is at most ``MAX_COEFF_BITS`` bits; one with more digits
 than ``2**MAX_COEFF_BITS`` has is refused at the literal before it is
-converted, whether it is a base or an exponent.
+converted, whether it is a base or an exponent.  Parentheses nest at most
+``MAX_NESTING`` deep, far from Python's recursion limit; a deeper ``(``
+raises :class:`ParseError` there.  A sum is built once from one dict, so it
+parses in linear time, with each ``+`` or ``-`` checked on the running sum.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = ["ParseError", "parse_entry"]
 MAX_DEGREE = 32
 MAX_TERMS = 4096
 MAX_COEFF_BITS = 4096
+MAX_NESTING = 100
 _MAX_LITERAL_DIGITS = len(str(1 << MAX_COEFF_BITS))
 
 
@@ -84,6 +88,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.table = table
+        self.depth = 0
 
     @property
     def current(self) -> _Token:
@@ -101,20 +106,28 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self) -> Polynomial:
-        negate = False
+        sign = 1
         if self.current.kind == "-":
             self.advance()
-            negate = True
-        result = self.parse_term()
-        if negate:
-            result = -result
-        while self.current.kind in ("+", "-"):
+            sign = -1
+        total: dict = {}
+        abs_total = 0  # the sum of the absolute coefficients in ``total``
+        term = self.parse_term()
+        while True:
+            for mono, coeff in term.terms():
+                old = total.pop(mono, 0)
+                new = old + sign * coeff
+                if new:
+                    total[mono] = new
+                abs_total += abs(new) - abs(old)
+            if self.current.kind not in ("+", "-"):
+                return Polynomial(self.table, total)
             op = self.advance()
+            sign = 1 if op.kind == "+" else -1
             term = self.parse_term()
-            _check_bounds(max(result.degree, term.degree), result.num_terms() + term.num_terms(),
-                          max(_sum_bits(result), _sum_bits(term)) + 1, op.offset)
-            result = result + term if op.kind == "+" else result - term
-        return result
+            # Every summand's degree is already at most MAX_DEGREE.
+            _check_bounds(term.degree, len(total) + term.num_terms(),
+                          max(abs_total.bit_length(), _sum_bits(term)) + 1, op.offset)
 
     def parse_term(self) -> Polynomial:
         result = self.parse_factor()
@@ -150,8 +163,12 @@ class _Parser:
             self.advance()
             return Polynomial.variable(self.table, token.text)
         if token.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", token.offset)
             self.advance()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
             return inner
         raise ParseError(f"expected a value, found {token.text or 'end of input'!r}", token.offset)

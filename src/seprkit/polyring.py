@@ -8,24 +8,28 @@ floating point never enters the picture.
 The single term order used everywhere (canonical forms, leading terms,
 division) is graded lexicographic: higher total degree wins, ties are broken
 lexicographically with variable precedence equal to declaration order in the
-``VariableTable``.  Each monomial computes its sort key ``Monomial.key`` once,
-at construction; ascending keys are descending term order, so canonical
-forms sort by it and ``reduce_by`` pops the greatest pending monomial off a
-heap of keys instead of comparing monomials one pair at a time.
+``VariableTable``.  A monomial is the plain tuple
+``(-degree, i1, -e1, i2, -e2, ...)`` with increasing variable indices and
+positive exponents, stored negated; ``(0,)`` is 1.  The tuple is its own sort
+key: ascending tuple order is descending term order, so canonical forms sort
+the tuples as they are and ``reduce_by`` pops the greatest pending monomial
+off a heap of them.  Product, divisibility, quotient, gcd and rendering of
+monomials are the private ``_mono_*`` functions below; apart from them only
+``Polynomial.variable``, ``constant``, ``degree`` and ``eval_at`` read the
+layout.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "VariableTable",
-    "Monomial",
     "Polynomial",
     "RationalPoint",
     "CoeffSignSummary",
@@ -98,102 +102,72 @@ def _check_tables(a: VariableTable, b: VariableTable) -> None:
         raise ValueError("variable table mismatch")
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Product of variables raised to positive powers; stored sparsely.
-
-    ``pairs`` is an index-sorted tuple of (variable index, exponent) with no
-    zero exponents; the empty tuple is the constant monomial 1.
-
-    ``key`` is ``(-degree, index_1, -exponent_1, index_2, -exponent_2, ...)``
-    over ``pairs``.  Graded lex compares total degree first and, within a
-    degree, the monomial whose earliest-differing variable has the larger
-    exponent is the greater one, so an ascending key is exactly descending
-    term order.  The key is flat rather than a tuple of pairs because every
-    monomial holds one: nested pair tuples cost several times the memory.
-    The hash is also computed once, since monomials are dict keys in every
-    polynomial operation.
-    """
-
-    pairs: tuple[tuple[int, int], ...] = ()
-    key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        degree = 0
-        flat: list[int] = []
-        for index, exp in self.pairs:
-            degree += exp
-            flat += (index, -exp)
-        object.__setattr__(self, "key", (-degree, *flat))
-        object.__setattr__(self, "_hash", hash((self.pairs,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @staticmethod
-    def of(exponents: Mapping[int, int]) -> "Monomial":
-        items = []
-        for index, exp in exponents.items():
-            if exp < 0:
-                raise ValueError("negative exponent")
-            if exp > 0:
-                items.append((index, exp))
-        return Monomial(tuple(sorted(items)))
-
-    @staticmethod
-    def var(index: int, exp: int = 1) -> "Monomial":
-        return Monomial.of({index: exp})
-
-    @property
-    def degree(self) -> int:
-        return -self.key[0]
-
-    def is_constant(self) -> bool:
-        return not self.pairs
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        exps = dict(self.pairs)
-        for index, exp in other.pairs:
-            exps[index] = exps.get(index, 0) + exp
-        return Monomial.of(exps)
-
-    def divides(self, other: "Monomial") -> bool:
-        """True if every exponent of self is covered by ``other``."""
-        exps = dict(other.pairs)
-        return all(exps.get(i, 0) >= e for i, e in self.pairs)
-
-    def __floordiv__(self, other: "Monomial") -> "Monomial":
-        exps = dict(self.pairs)
-        for index, exp in other.pairs:
-            have = exps.get(index, 0)
-            if have < exp:
-                raise ValueError("monomial not divisible")
-            exps[index] = have - exp
-        return Monomial.of(exps)
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        exps = dict(other.pairs)
-        return Monomial.of({i: min(e, exps[i]) for i, e in self.pairs if i in exps})
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.key > other.key
-
-    def render(self, table: VariableTable) -> str:
-        if not self.pairs:
-            return "1"
-        factors = []
-        for index, exp in self.pairs:
-            name = table.name(index)
-            factors.append(name if exp == 1 else f"{name}^{exp}")
-        return "*".join(factors)
-
-    def __repr__(self) -> str:
-        return f"Monomial({self.pairs!r})"
+# -- monomials: the tuple layout and its order are in the module docstring ---
 
 
-# Monomials are immutable, so every constant polynomial shares this one.
-_UNIT = Monomial()
+def _mono_mul(a: tuple, b: tuple) -> tuple:
+    """The product a*b."""
+    if len(a) == 1:
+        return b
+    if len(b) == 1:
+        return a
+    out = [a[0] + b[0]]
+    i = j = 1
+    len_a, len_b = len(a), len(b)
+    while i < len_a and j < len_b:
+        if a[i] < b[j]:
+            out += a[i:i + 2]
+            i += 2
+        elif a[i] > b[j]:
+            out += b[j:j + 2]
+            j += 2
+        else:
+            out += (a[i], a[i + 1] + b[j + 1])
+            i += 2
+            j += 2
+    out += a[i:]
+    out += b[j:]
+    return tuple(out)
+
+
+def _mono_divides(a: tuple, b: tuple) -> bool:
+    """True if a divides b: every exponent of a is covered by b."""
+    if a[0] < b[0]:
+        return False
+    exps = dict(zip(b[1::2], b[2::2]))
+    return all(exps.get(index, 0) <= exp for index, exp in zip(a[1::2], a[2::2]))
+
+
+def _mono_of(pairs: Iterable[tuple[int, int]]) -> tuple:
+    """The monomial of index-sorted (index, negated exponent) pairs, zeros
+    dropped."""
+    flat = [0]
+    for index, exp in pairs:
+        if exp:
+            flat[0] += exp
+            flat += (index, exp)
+    return tuple(flat)
+
+
+def _mono_quotient(a: tuple, b: tuple) -> tuple:
+    """The quotient a/b of a by a divisor b."""
+    exps = dict(zip(b[1::2], b[2::2]))
+    return _mono_of((index, exp - exps.get(index, 0)) for index, exp in zip(a[1::2], a[2::2]))
+
+
+def _mono_gcd(a: tuple, b: tuple) -> tuple:
+    """The exponent-wise minimum of a and b."""
+    exps = dict(zip(b[1::2], b[2::2]))
+    return _mono_of((index, max(exp, exps[index]))
+                    for index, exp in zip(a[1::2], a[2::2]) if index in exps)
+
+
+def _mono_render(mono: tuple, table: VariableTable) -> str:
+    factors = []
+    for k in range(1, len(mono), 2):
+        name = table.name(mono[k])
+        factors.append(name if mono[k + 1] == -1 else f"{name}^{-mono[k + 1]}")
+    return "*".join(factors)
 
 
 class CoeffSignSummary(Enum):
@@ -270,10 +244,10 @@ class Polynomial:
 
     __slots__ = ("table", "_terms")
 
-    def __init__(self, table: VariableTable, terms: Mapping[Monomial, int] | None = None):
+    def __init__(self, table: VariableTable, terms: Mapping[tuple, int] | None = None):
         cleaned = {}
         if terms:
-            for mono, coeff in sorted(terms.items(), key=lambda kv: kv[0].key):
+            for mono, coeff in sorted(terms.items()):
                 if coeff:
                     cleaned[mono] = coeff
         self.table = table
@@ -291,16 +265,16 @@ class Polynomial:
 
     @staticmethod
     def constant(table: VariableTable, value: int) -> "Polynomial":
-        return Polynomial(table, {_UNIT: value})
+        return Polynomial(table, {(0,): value})
 
     @staticmethod
     def variable(table: VariableTable, name: str) -> "Polynomial":
         """Polynomial for a single variable, declared on first use."""
-        return Polynomial(table, {Monomial.var(table.add(name)): 1})
+        return Polynomial(table, {(-1, table.add(name), -1): 1})
 
     # -- structure ---------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[Monomial, int]]:
+    def terms(self) -> Iterator[tuple[tuple, int]]:
         """Iterate (monomial, coefficient) in descending term order."""
         return iter(self._terms.items())
 
@@ -318,14 +292,14 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return self.leading_monomial().degree
+        return -self.leading_monomial()[0]
 
-    def leading_term(self) -> tuple[Monomial, int]:
+    def leading_term(self) -> tuple[tuple, int]:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
         return next(iter(self._terms.items()))
 
-    def leading_monomial(self) -> Monomial:
+    def leading_monomial(self) -> tuple:
         return self.leading_term()[0]
 
     def leading_coefficient(self) -> int:
@@ -353,7 +327,7 @@ class Polynomial:
         if len(polys) == 1:
             _check_tables(table, polys[0].table)
             return polys[0]
-        merged: dict[Monomial, int] = {}
+        merged: dict[tuple, int] = {}
         for p in polys:
             _check_tables(table, p.table)
             for mono, coeff in p._terms.items():
@@ -376,10 +350,10 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         other = self._coerce(other)
-        product: dict[Monomial, int] = {}
+        product: dict[tuple, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                mono = m1 * m2
+                mono = _mono_mul(m1, m2)
                 product[mono] = product.get(mono, 0) + c1 * c2
         return Polynomial(self.table, product)
 
@@ -405,23 +379,23 @@ class Polynomial:
         """
         top: dict[int, int] = {}
         for mono in self._terms:
-            for index, exp in mono.pairs:
-                if exp > top.get(index, 0):
+            for index, exp in zip(mono[1::2], mono[2::2]):
+                if exp < top.get(index, 0):
                     top[index] = exp
         num_pows: dict[int, list[int]] = {}
         den_pows: dict[int, list[int]] = {}
         common = 1
         for index, top_exp in top.items():
             value = point.value(index)
-            num_pows[index] = [value.numerator ** e for e in range(top_exp + 1)]
-            den_pows[index] = [value.denominator ** e for e in range(top_exp + 1)]
+            num_pows[index] = [value.numerator ** e for e in range(1 - top_exp)]
+            den_pows[index] = [value.denominator ** e for e in range(1 - top_exp)]
             common *= den_pows[index][-1]
         total = 0
         for mono, coeff in self._terms.items():
             num, den = coeff, 1
-            for index, exp in mono.pairs:
-                num *= num_pows[index][exp]
-                den *= den_pows[index][exp]
+            for index, exp in zip(mono[1::2], mono[2::2]):
+                num *= num_pows[index][-exp]
+                den *= den_pows[index][-exp]
             total += num * (common // den)
         return Fraction(total, common)
 
@@ -437,21 +411,21 @@ class Polynomial:
             return CoeffSignSummary.MIXED_SIGNS
         return CoeffSignSummary.ALL_POSITIVE if has_pos else CoeffSignSummary.ALL_NEGATIVE
 
-    def monomial_content(self) -> Monomial:
+    def monomial_content(self) -> tuple:
         """Exponent-wise gcd of all monomials; undefined for zero."""
         if not self._terms:
             raise ValueError("zero polynomial has no monomial content")
         monos = iter(self._terms)
         content = next(monos)
         for mono in monos:
-            content = content.gcd(mono)
+            content = _mono_gcd(content, mono)
         return content
 
     def primitive_part(self) -> "Polynomial":
         """The polynomial divided by its monomial content, sign-normalized so
         the leading coefficient is positive.  Integer content is kept."""
         content = self.monomial_content()
-        divided = Polynomial(self.table, {m // content: c for m, c in self._terms.items()})
+        divided = Polynomial(self.table, {_mono_quotient(m, content): c for m, c in self._terms.items()})
         if divided.leading_coefficient() < 0:
             return -divided
         return divided
@@ -464,12 +438,12 @@ class Polynomial:
         pieces = []
         for position, (mono, coeff) in enumerate(self._terms.items()):
             magnitude = abs(coeff)
-            if mono.is_constant():
+            if mono == (0,):
                 core = str(magnitude)
             elif magnitude == 1:
-                core = mono.render(self.table)
+                core = _mono_render(mono, self.table)
             else:
-                core = f"{magnitude}*{mono.render(self.table)}"
+                core = f"{magnitude}*{_mono_render(mono, self.table)}"
             if position == 0:
                 pieces.append(f"-{core}" if coeff < 0 else core)
             else:
@@ -490,33 +464,34 @@ def reduce_by(m: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynomia
     package produces) this is the classic field algorithm and no remainder
     monomial is divisible by the leading monomial of the divisor.
 
-    Pending terms live in a dict; a heap of ``(Monomial.key, monomial)``
-    yields the greatest one in O(log T).  A monomial is pushed when it enters
-    the dict, and an entry whose monomial has since cancelled away is skipped
-    when popped.  Every new monomial is below the one just popped, so a
-    monomial never returns to the dict once it has been taken from it.
+    Pending terms live in a dict; a heap of their monomials yields the
+    greatest one in O(log T), since the least tuple is the greatest
+    monomial.  A monomial is pushed when it enters the dict, and an entry
+    whose monomial has since cancelled away is skipped when popped.  Every
+    new monomial is below the one just popped, so a monomial never returns
+    to the dict once it has been taken from it.
     """
     _check_tables(m.table, divisor.table)
     if divisor.is_zero():
         raise ValueError("zero divisor")
     lead_mono, lead_coeff = divisor.leading_term()
     tail = list(divisor.terms())[1:]
-    quotient: dict[Monomial, int] = {}
-    remainder: dict[Monomial, int] = {}
+    quotient: dict[tuple, int] = {}
+    remainder: dict[tuple, int] = {}
     work = dict(m._terms)
-    heap = [(mono.key, mono) for mono in work]
+    heap = list(work)
     heapq.heapify(heap)
     while heap:
-        mono = heapq.heappop(heap)[1]
+        mono = heapq.heappop(heap)
         coeff = work.pop(mono, 0)
         if not coeff:
             continue
-        if lead_mono.divides(mono) and coeff % lead_coeff == 0:
+        if _mono_divides(lead_mono, mono) and coeff % lead_coeff == 0:
             factor = coeff // lead_coeff
-            shift = mono // lead_mono
+            shift = _mono_quotient(mono, lead_mono)
             quotient[shift] = quotient.get(shift, 0) + factor
             for dm, dc in tail:
-                target = dm * shift
+                target = _mono_mul(dm, shift)
                 if target in work:
                     value = work[target] - factor * dc
                     if value:
@@ -525,7 +500,7 @@ def reduce_by(m: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynomia
                         del work[target]
                 else:
                     work[target] = -factor * dc
-                    heapq.heappush(heap, (target.key, target))
+                    heapq.heappush(heap, target)
         else:
             remainder[mono] = coeff
     return Polynomial(m.table, quotient), Polynomial(m.table, remainder)

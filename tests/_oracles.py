@@ -19,7 +19,6 @@ from seprkit import (
     CoeffSignSummary,
     IndexSet,
     LevelCertification,
-    Monomial,
     Polynomial,
     RationalPoint,
     SymMatrix,
@@ -120,12 +119,46 @@ def transposed(matrix: SymMatrix) -> SymMatrix:
     return SymMatrix(matrix.table, [list(col) for col in zip(*matrix.rows)])
 
 
-def random_monomial(rng: random.Random, nvars: int, max_degree: int = 4) -> Monomial:
-    exponents = {}
+def monomial(exponents: dict) -> tuple:
+    """Encode {variable index: exponent} in the documented monomial layout
+    ``(-degree, i1, -e1, i2, -e2, ...)``: increasing indices, positive
+    exponents stored negated, ``(0,)`` for 1."""
+    flat = [-sum(exponents.values())]
+    for index in sorted(exponents):
+        if exponents[index]:
+            flat += (index, -exponents[index])
+    return tuple(flat)
+
+
+def exponents(mono: tuple) -> dict:
+    """Decode a monomial to {variable index: exponent}, asserting that it
+    follows the documented layout, degree field included."""
+    indices, negated = mono[1::2], mono[2::2]
+    assert len(indices) == len(negated), mono
+    assert list(indices) == sorted(set(indices)), mono
+    assert all(e < 0 for e in negated), mono
+    assert mono[0] == sum(negated), mono
+    return {index: -e for index, e in zip(indices, negated)}
+
+
+def monomial_product(a: tuple, b: tuple) -> tuple:
+    exps = exponents(a)
+    for index, exp in exponents(b).items():
+        exps[index] = exps.get(index, 0) + exp
+    return monomial(exps)
+
+
+def monomial_divides(a: tuple, b: tuple) -> bool:
+    exps = exponents(b)
+    return all(exps.get(index, 0) >= exp for index, exp in exponents(a).items())
+
+
+def random_monomial(rng: random.Random, nvars: int, max_degree: int = 4) -> tuple:
+    exps = {}
     for _ in range(rng.randint(0, max_degree)):
         index = rng.randrange(nvars)
-        exponents[index] = exponents.get(index, 0) + 1
-    return Monomial.of(exponents)
+        exps[index] = exps.get(index, 0) + 1
+    return monomial(exps)
 
 
 def random_polynomial(rng: random.Random, table: VariableTable,
@@ -139,14 +172,18 @@ def random_polynomial(rng: random.Random, table: VariableTable,
     return Polynomial(table, terms)
 
 
-def grlex_less(a: Monomial, b: Monomial) -> bool:
+def grlex_less(a: tuple, b: tuple) -> bool:
     """Graded lex by definition: total degree first; within a degree, the
     monomial whose earliest-differing variable has the larger exponent is
-    the greater one (negated exponents make that plain tuple order)."""
-    degree_a, degree_b = sum(e for _, e in a.pairs), sum(e for _, e in b.pairs)
+    the greater one."""
+    exps_a, exps_b = exponents(a), exponents(b)
+    degree_a, degree_b = sum(exps_a.values()), sum(exps_b.values())
     if degree_a != degree_b:
         return degree_a < degree_b
-    return tuple((i, -e) for i, e in a.pairs) > tuple((i, -e) for i, e in b.pairs)
+    for index in sorted(set(exps_a) | set(exps_b)):
+        if exps_a.get(index, 0) != exps_b.get(index, 0):
+            return exps_a.get(index, 0) < exps_b.get(index, 0)
+    return False
 
 
 def reduce_by_reference(m: Polynomial, divisor: Polynomial):
@@ -162,13 +199,15 @@ def reduce_by_reference(m: Polynomial, divisor: Polynomial):
             if grlex_less(mono, other):
                 mono = other
         coeff = work.pop(mono)
-        if lead_mono.divides(mono) and coeff % lead_coeff == 0:
+        if monomial_divides(lead_mono, mono) and coeff % lead_coeff == 0:
             factor = coeff // lead_coeff
-            shift = mono // lead_mono
+            lead_exps = exponents(lead_mono)
+            shift = monomial({index: exp - lead_exps.get(index, 0)
+                              for index, exp in exponents(mono).items()})
             quotient[shift] = quotient.get(shift, 0) + factor
             for dm, dc in divisor.terms():
                 if dm != lead_mono:
-                    target = dm * shift
+                    target = monomial_product(dm, shift)
                     work[target] = work.get(target, 0) - factor * dc
                     if not work[target]:
                         del work[target]
@@ -182,7 +221,7 @@ def eval_reference(p: Polynomial, point: RationalPoint) -> Fraction:
     total = Fraction(0)
     for mono, coeff in p.terms():
         value = Fraction(coeff)
-        for index, exp in mono.pairs:
+        for index, exp in exponents(mono).items():
             value *= point.value(index) ** exp
         total += value
     return total

@@ -228,12 +228,18 @@ def test_invalid_flags_exit_three():
     assert run_cli()[0] == 3
 
 
-def test_hostile_exponent_in_matrix_file_exits_three(tmp_path):
+@pytest.mark.parametrize("entry, message", [
+    pytest.param("x^100000000", "entry (1,1): exponent 100000000 exceeds", id="exponent"),
+    pytest.param("(" * 250 + "x" + ")" * 250,
+                 "entry (1,1): parentheses nest deeper than 100 (at offset 100)", id="nesting"),
+])
+def test_hostile_exponent_in_matrix_file_exits_three(tmp_path, entry, message):
     path = tmp_path / "hostile.json"
-    path.write_text(json.dumps({"n": 1, "entries": [["x^100000000"]]}))
+    path.write_text(json.dumps({"n": 1, "entries": [[entry]]}))
     code, _, err = run_cli("det", "--matrix", str(path), "--subset", "1", timeout=30)
     assert code == 3
-    assert "entry (1,1): exponent 100000000 exceeds" in err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_missing_matrix_file_exits_three(tmp_path):

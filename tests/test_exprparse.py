@@ -1,11 +1,12 @@
 """Entry-expression parser: grammar coverage, error offsets, round trips."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from seprkit import ParseError, Polynomial, VariableTable, parse_entry
-from seprkit.exprparse import MAX_DEGREE, MAX_TERMS
+from seprkit import ParseError, Polynomial, RationalPoint, VariableTable, parse_entry
+from seprkit.exprparse import MAX_DEGREE, MAX_NESTING, MAX_TERMS
 from _oracles import random_polynomial
 
 
@@ -104,6 +105,8 @@ def test_round_trip_through_rendering():
         ("x^20 * y^20", 5),  # degree bound 40
         ("(a+b+c+d+e+f+g+h)^8", 17),  # C(15, 8) = 6435 terms
         ("((2^32)^32)^4", 11),  # 4 * 1025 coefficient bits
+        # nesting past MAX_NESTING, at the first "(" too deep
+        pytest.param("(" * 250 + "a" + ")" * 250, MAX_NESTING, id="nesting-250"),
     ],
 )
 def test_oversized_expansions_are_rejected_at_the_operator(src, offset):
@@ -134,6 +137,26 @@ def test_expansions_at_the_limits_are_admitted():
     assert parse("9" * 1233) == 10 ** 1233 - 1
     assert parse("0" * 5000 + "7") == 7
     assert parse("x^" + "0" * 5000 + "3").degree == 3
+
+
+def test_nesting_at_the_limit_is_admitted():
+    assert parse("(" * MAX_NESTING + "a + 1" + ")" * MAX_NESTING).num_terms() == 2
+
+
+def test_sums_are_bounded_by_the_running_sum():
+    # x - x + x - ... has 4201 summands, but the running sum never more than one term
+    table = VariableTable()
+    p = parse("x" + " - x + x" * 2100, table)
+    assert p == Polynomial.variable(table, "x")
+    assert p.eval_at(RationalPoint.from_mapping(table, {"x": "3/7"})) == Fraction(3, 7)
+    y = Polynomial.variable(table, "y")
+    assert parse("2*y" + " - y + 3" * (MAX_TERMS + 1), table) \
+        == (1 - MAX_TERMS) * y + 3 * (MAX_TERMS + 1)
+    xs = "+".join(f"x{i}" for i in range(MAX_TERMS))
+    assert parse(xs).num_terms() == MAX_TERMS
+    with pytest.raises(ParseError) as info:
+        parse(xs + " - y")
+    assert info.value.offset == len(xs) + 1
 
 
 def test_sums_are_bounded_too():

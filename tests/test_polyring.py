@@ -7,7 +7,6 @@ import pytest
 
 from seprkit import (
     CoeffSignSummary,
-    Monomial,
     Polynomial,
     RationalPoint,
     VariableTable,
@@ -15,7 +14,11 @@ from seprkit import (
 )
 from _oracles import (
     eval_reference,
+    exponents,
     grlex_less,
+    monomial,
+    monomial_divides,
+    monomial_product,
     random_monomial,
     random_polynomial,
     random_positive_point,
@@ -29,6 +32,10 @@ def fresh_table():
 
 def var(table, name):
     return Polynomial.variable(table, name)
+
+
+def term(table, mono, coeff=1):
+    return Polynomial(table, {mono: coeff})
 
 
 # ---------------------------------------------------------------- variables
@@ -55,53 +62,139 @@ def test_variable_table_rejects_bad_names():
 
 
 # ---------------------------------------------------------------- monomials
+#
+# A monomial is the tuple (-degree, i1, -e1, i2, -e2, ...) documented in
+# seprkit.polyring.  These tests encode and decode that layout with the
+# oracles' own helpers and reach polyring's monomial arithmetic only through
+# polynomials: a product through ``*``, a quotient through ``reduce_by`` and a
+# gcd through ``monomial_content``.
 
 
 def test_monomial_multiplication_and_division():
-    m = Monomial.of({0: 2, 1: 1})
-    d = Monomial.var(0)
-    assert m * d == Monomial.of({0: 3, 1: 1})
-    assert d.divides(m)
-    assert not m.divides(d)
-    assert m // d == Monomial.of({0: 1, 1: 1})
-    with pytest.raises(ValueError):
-        d // m
-    assert m.gcd(Monomial.of({0: 1, 2: 5})) == Monomial.var(0)
-    assert Monomial().is_constant()
-    assert m.degree == 3
+    table = VariableTable(["x", "y", "z"])
+    m = monomial({0: 2, 1: 1})
+    d = monomial({0: 1})
+    assert m == (-3, 0, -2, 1, -1) and monomial({}) == (0,)
+    assert (term(table, m) * term(table, d)).leading_monomial() == monomial({0: 3, 1: 1})
+    assert reduce_by(term(table, m), term(table, d)) \
+        == (term(table, monomial({0: 1, 1: 1})), Polynomial.zero(table))
+    # m does not divide d, so d is all remainder
+    assert reduce_by(term(table, d), term(table, m)) == (Polynomial.zero(table), term(table, d))
+    assert (term(table, m) + term(table, monomial({0: 1, 2: 5}))).monomial_content() == d
+    assert Polynomial.one(table).leading_monomial() == (0,)
+    assert term(table, m).degree == 3
 
 
 def test_equal_monomials_hash_equal_however_built():
-    direct = Monomial.of({0: 2, 3: 1})
-    product = Monomial.var(3) * Monomial.var(0, 2)
-    quotient = Monomial.of({0: 3, 3: 1, 5: 2}) // Monomial.of({0: 1, 5: 2})
-    assert direct == product == quotient
-    assert hash(direct) == hash(product) == hash(quotient)
-    assert len({direct: 1, product: 2, quotient: 3}) == 1
-    assert hash(Monomial.of({})) == hash(Monomial.var(1) // Monomial.var(1))
+    table = VariableTable([f"x{i}" for i in range(6)])
+    direct = monomial({0: 2, 3: 1})
+    product = (var(table, "x3") * var(table, "x0") ** 2).leading_monomial()
+    quotient = reduce_by(term(table, monomial({0: 3, 3: 1, 5: 2})),
+                         term(table, monomial({0: 1, 5: 2})))[0].leading_monomial()
+    content = (term(table, monomial({0: 2, 3: 1, 5: 1}))
+               + term(table, monomial({0: 3, 3: 2}))).monomial_content()
+    assert direct == product == quotient == content
+    assert hash(direct) == hash(product) == hash(quotient) == hash(content)
+    assert len({direct: 1, product: 2, quotient: 3, content: 4}) == 1
+    x1 = var(table, "x1")
+    assert reduce_by(x1, x1)[0].leading_monomial() == (0,)
 
 
 def test_order_is_graded_then_lexicographic():
-    a, b, c = Monomial.var(0), Monomial.var(1), Monomial.var(2)
+    a, b, c = monomial({0: 1}), monomial({1: 1}), monomial({2: 1})
+    aa, ab, ac = monomial({0: 2}), monomial({0: 1, 1: 1}), monomial({0: 1, 2: 1})
+    bb, bc, cc = monomial({1: 2}), monomial({1: 1, 2: 1}), monomial({2: 2})
+    # ascending tuples are descending term order
     # degree dominates
-    assert a * a > b
-    assert c * c * c > a * b
+    assert aa < b
+    assert monomial({2: 3}) < ab
     # within a degree, precedence follows declaration order
-    assert a > b > c
-    assert a * a > a * b > a * c > b * b > b * c > c * c
-    assert sorted([b, a * a, c, a], reverse=True) == [a * a, a, b, c]
+    assert a < b < c
+    assert aa < ab < ac < bb < bc < cc
+    assert sorted([b, aa, c, a]) == [aa, a, b, c]
+    table = VariableTable(["x", "y", "z"])
+    shuffled = sum((term(table, mono) for mono in (bc, c, aa, cc, b, ab, bb, a, ac)),
+                   Polynomial.one(table))
+    assert [mono for mono, _ in shuffled.terms()] == [aa, ab, ac, bb, bc, cc, a, b, c, (0,)]
     rng = random.Random(23)
     for _ in range(2000):
         m1, m2 = random_monomial(rng, 4), random_monomial(rng, 4)
-        assert (m1 < m2) == grlex_less(m1, m2)
-        assert (m1.key < m2.key) == grlex_less(m2, m1)
-        assert m1.degree == sum(e for _, e in m1.pairs)
+        assert (m1 > m2) == grlex_less(m1, m2)
 
 
 def test_monomial_render():
     table = VariableTable(["x", "y"])
-    assert Monomial().render(table) == "1"
-    assert Monomial.of({0: 1, 1: 3}).render(table) == "x*y^3"
+    assert str(Polynomial.one(table)) == "1"
+    assert str(term(table, monomial({0: 1, 1: 3}))) == "x*y^3"
+    assert str(term(table, monomial({1: 2}), -4)) == "-4*y^2"
+
+
+# Property tests of the term order and of monomial arithmetic.  hypothesis is
+# not a dependency of the package, so they skip where it is not installed.
+
+PROPERTY_TABLE = VariableTable([f"x{i}" for i in range(6)])
+
+
+def _for_all_monomials(count, check):
+    """Run ``check`` on ``count`` monomials in six variables drawn by
+    hypothesis."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monomials = st.dictionaries(st.integers(0, 5), st.integers(1, 4), max_size=6).map(monomial)
+    settings = hypothesis.settings(deadline=None, database=None)
+    settings(hypothesis.given(*[monomials] * count)(check))()
+
+
+def _term(mono):
+    return term(PROPERTY_TABLE, mono)
+
+
+def test_term_order_is_total_with_one_least():
+    def check(a, b):
+        assert (a == b) + grlex_less(a, b) + grlex_less(b, a) == 1
+        assert grlex_less(a, b) == (a > b)
+        monos = [mono for mono, _ in (_term(a) + _term(b) + 1).terms()]
+        assert monos[-1] == (0,)
+        assert all(grlex_less(low, high) for high, low in zip(monos, monos[1:]))
+
+    _for_all_monomials(2, check)
+
+
+def test_term_order_is_multiplicative():
+    def check(a, b, c):
+        ac = (_term(a) * _term(c)).leading_monomial()
+        bc = (_term(b) * _term(c)).leading_monomial()
+        assert ac == monomial_product(a, c) and bc == monomial_product(b, c)
+        if grlex_less(a, b):
+            assert grlex_less(ac, bc) and ac > bc
+
+    _for_all_monomials(3, check)
+
+
+def test_divisibility_is_exactly_an_exact_quotient():
+    def check(a, b, c):
+        for m in (a, monomial_product(b, c)):
+            q, r = reduce_by(_term(m), _term(b))
+            if monomial_divides(b, m):
+                assert r.is_zero()
+                exponents(q.leading_monomial())
+                assert q * _term(b) == _term(m)
+            else:
+                assert q.is_zero() and r == _term(m)
+
+    _for_all_monomials(3, check)
+
+
+def test_gcd_is_the_greatest_common_divisor():
+    def check(a, b, c):
+        # c divides both arguments, so it must divide their gcd
+        a, b = monomial_product(a, c), monomial_product(b, c)
+        g = (_term(a) + _term(b)).monomial_content()
+        exponents(g)
+        assert monomial_divides(g, a) and monomial_divides(g, b)
+        assert monomial_divides(c, g)
+
+    _for_all_monomials(3, check)
 
 
 # ------------------------------------------------------------- ring axioms
@@ -173,7 +266,7 @@ def test_terms_are_stored_in_descending_order_without_zeros():
     a1, a2 = var(table, "a1"), var(table, "a2")
     p = a2 + a1 * a1 - a2 + 5 + a1  # the a2 terms cancel
     monos = [m for m, _ in p.terms()]
-    assert monos == sorted(monos, reverse=True)
+    assert all(grlex_less(low, high) for high, low in zip(monos, monos[1:]))
     assert p.num_terms() == 3
     assert p.degree == 2
     assert Polynomial.zero(table).degree == -1
@@ -198,7 +291,7 @@ def test_leading_data_and_sign_summary():
     table = fresh_table()
     a1, a2 = var(table, "a1"), var(table, "a2")
     p = 4 * a1 * a2 - a2
-    assert p.leading_monomial() == Monomial.of({0: 1, 1: 1})
+    assert p.leading_monomial() == monomial({0: 1, 1: 1})
     assert p.leading_coefficient() == 4
     assert p.coeff_sign_summary() is CoeffSignSummary.MIXED_SIGNS
     assert (a1 + a2).coeff_sign_summary() is CoeffSignSummary.ALL_POSITIVE
@@ -210,7 +303,7 @@ def test_monomial_content_and_primitive_part():
     table = fresh_table()
     a1, a2 = var(table, "a1"), var(table, "a2")
     p = 2 * a1 * a1 * a2 - 4 * a1 * a2 * a2
-    assert p.monomial_content() == Monomial.of({0: 1, 1: 1})
+    assert p.monomial_content() == monomial({0: 1, 1: 1})
     assert p.primitive_part() == 2 * a1 - 4 * a2
     # sign normalization flips a negative leading coefficient
     assert (-p).primitive_part() == 2 * a1 - 4 * a2
@@ -304,7 +397,7 @@ def test_reduce_by_remainder_condition_for_unit_leading_coefficient():
             continue
         _, r = reduce_by(m, d)
         lead = d.leading_monomial()
-        assert all(not lead.divides(mono) for mono, _ in r.terms())
+        assert all(not monomial_divides(lead, mono) for mono, _ in r.terms())
 
 
 def test_reduce_by_known_values():
