@@ -8,15 +8,16 @@ is the sign (-1)^(length-1) times the sum of its edge products over the
 ways round it.  A minor whose S no family covers is identically zero.
 ``_family_sums`` evaluates these sums for every cover mask at once and is
 the one determinant engine: it runs over polynomial entries for the minor
-table and ``determinant``, and over exact rationals for the
-point-evaluation path.
+table and ``determinant``, and over plain integers for the point-evaluation
+path, whose rows are scaled to clear the denominators of the point.  No
+function here reads the monomial layout of ``polyring``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
-from operator import add
+from functools import partial
+from math import lcm
 from typing import Iterator, Sequence
 
 from .polyring import Polynomial, RationalPoint
@@ -165,14 +166,36 @@ def minor_values_at(matrix: SymMatrix, point: RationalPoint) -> dict[int, Fracti
     matrix's cycle-cover masks, in increasing mask order; every other
     principal minor is 0 there.  A cover mask whose value is 0 is kept.
 
-    Substitutes first and sums over Fractions, so no symbolic minor table
-    is required.  The support, and so the masks, come from the symbolic
-    entries: one that evaluates to 0 at the point stays an edge.
+    Substitutes first, so no symbolic minor table is required, and sums in
+    integers: row i is scaled by L_i, the lcm of its entries' denominators,
+    so det A[S] = det((LA)[S]) / prod of L_i over i in S, and a Fraction is
+    built once per mask.  The support, and so the masks, come from the
+    symbolic entries: one that evaluates to 0 at the point stays an edge.
     """
     n = matrix.n
     if n > MAX_ENUM_DIM:
         raise ValueError(f"refusing to enumerate 2^{n} principal minors (n > {MAX_ENUM_DIM})")
-    row_entries = [[(j, entry.eval_at(point)) for j, entry in enumerate(row) if entry]
-                   for row in matrix.rows]
-    sums = _family_sums(row_entries, Fraction(1), partial(reduce, add))
-    return {mask: sums[mask] for mask in sorted(sums) if mask}
+    row_entries, scales = [], []
+    for row in matrix.rows:
+        values = [(j, entry.eval_at(point)) for j, entry in enumerate(row) if entry]
+        scale = lcm(*(value.denominator for _, value in values))
+        row_entries.append([(j, value.numerator * (scale // value.denominator))
+                            for j, value in values])
+        scales.append(scale)
+    sums = _family_sums(row_entries, 1, sum)
+    # products[m] multiplies the L_i of rows low..low+7 whose bit is set in
+    # m, so a mask's denominator takes one lookup per byte of the mask
+    chunks = []
+    for low in range(0, n, 8):
+        products = [1]
+        for scale in scales[low:low + 8]:
+            products += [product * scale for product in products]
+        chunks.append((low, products))
+    values = {}
+    for mask in sorted(sums):
+        if mask:
+            scale = 1
+            for low, products in chunks:
+                scale *= products[mask >> low & 255]
+            values[mask] = Fraction(sums[mask], scale)
+    return values

@@ -61,15 +61,19 @@ class Lcg64(object):
         self.state = (self.state * self.MULTIPLIER + self.INCREMENT) & self._MASK
         return lo + (self.state >> 32) % (hi - lo + 1)
 
-    def fraction(self) -> Fraction:
-        numerator = self.draw(1, 100)
-        denominator = self.draw(1, 100)
-        return Fraction(numerator, denominator)
+    def pairs(self, count: int) -> list[tuple[int, int]]:
+        """The next ``count`` sample values u/v as unreduced (u, v) pairs,
+        u drawn before v, each by ``draw(1, 100)``."""
+        return [(self.draw(1, 100), self.draw(1, 100)) for _ in range(count)]
 
     def point(self, table: VariableTable) -> RationalPoint:
         """Strictly positive rational point, one u/v pair per variable in
         declaration order."""
-        return RationalPoint(table, tuple(self.fraction() for _ in range(len(table))))
+        return _point_of(table, self.pairs(len(table)))
+
+
+def _point_of(table: VariableTable, pairs: Sequence[tuple[int, int]]) -> RationalPoint:
+    return RationalPoint(table, tuple(Fraction(u, v) for u, v in pairs))
 
 
 def sign_of(value: Fraction) -> str:
@@ -128,6 +132,11 @@ def classify_polynomial(p: Polynomial, budget: int = DEFAULT_BUDGET,
     negative-value points; finding both within ``budget`` samples yields
     Mixed, anything less stays Unresolved.  Zero evaluations consume budget
     but witness nothing.
+
+    Each sample draws the (u, v) pairs of ``Lcg64.point`` and reads its sign
+    off the integer numerator of p's value over a positive denominator, so
+    the loop builds no Fraction; only the two witnesses become points, equal
+    to the ones ``Lcg64.point`` would have drawn.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -138,15 +147,18 @@ def classify_polynomial(p: Polynomial, budget: int = DEFAULT_BUDGET,
         return _POS
     if summary is CoeffSignSummary.ALL_NEGATIVE:
         return _NEG
-    rng = Lcg64(seed)
+    rng, table = Lcg64(seed), p.table
+    top = p._top_exponents()
     pos = neg = None
     for _ in range(budget):
-        point = rng.point(p.table)
-        numerator = p.eval_at(point).numerator
+        pairs = rng.pairs(len(table))
+        numerator = p._scaled_value(top, pairs)[0]
         if numerator > 0:
-            pos = pos or point
+            if pos is None:
+                pos = _point_of(table, pairs)
         elif numerator < 0:
-            neg = neg or point
+            if neg is None:
+                neg = _point_of(table, pairs)
         if pos is not None and neg is not None:
             return SignClass(SignKind.MIXED, pos_witness=pos, neg_witness=neg)
     return SignClass(SignKind.UNRESOLVED, pos_witness=pos, neg_witness=neg)

@@ -1,9 +1,9 @@
 """Sparse multivariate polynomial ring over arbitrary-precision integers.
 
 Polynomials are immutable values over a shared, append-only variable table.
-Coefficients are Python ints and evaluation is exact over
-``fractions.Fraction``, so every sign decision made downstream is exact;
-floating point never enters the picture.
+Coefficients are Python ints and evaluation at a rational point sums in
+integers over a common denominator (``_scaled_value``), so every sign
+decision made downstream is exact; floating point never enters the picture.
 
 The single term order used everywhere (canonical forms, leading terms,
 division) is graded lexicographic: higher total degree wins, ties are broken
@@ -15,8 +15,8 @@ key: ascending tuple order is descending term order, so canonical forms sort
 the tuples as they are and ``reduce_by`` pops the greatest pending monomial
 off a heap of them.  Product, divisibility, quotient, gcd and rendering of
 monomials are the private ``_mono_*`` functions below; apart from them only
-``Polynomial.variable``, ``constant``, ``degree`` and ``eval_at`` read the
-layout.
+``Polynomial.variable``, ``constant``, ``degree``, ``_top_exponents`` and
+``_scaled_value`` read the layout.
 """
 
 from __future__ import annotations
@@ -370,34 +370,63 @@ class Polynomial:
     # -- exact analysis ----------------------------------------------------
 
     def eval_at(self, point: RationalPoint) -> Fraction:
-        """Exact rational value at ``point``; a ring homomorphism.
+        """Exact rational value at ``point``; a ring homomorphism.  The sum
+        runs in integers (``_scaled_value``) and one Fraction is built at
+        the end."""
+        top = self._top_exponents()
+        values = {}
+        for index in top:
+            value = point.value(index)
+            values[index] = (value.numerator, value.denominator)
+        return Fraction(*self._scaled_value(top, values))
 
-        With u_i/v_i the value of variable i and D_i its top exponent in this
-        polynomial, every term is an integer multiple of 1/Q for
-        Q = prod v_i^D_i, so the sum runs in integers and one Fraction is
-        built at the end.
-        """
+    def _top_exponents(self) -> dict[int, int]:
+        """{variable index: its highest exponent in any term}, over the
+        variables that occur; the first argument of ``_scaled_value``."""
         top: dict[int, int] = {}
         for mono in self._terms:
-            for index, exp in zip(mono[1::2], mono[2::2]):
+            # (index, negated exponent) pairs follow the degree field
+            fields = iter(mono)
+            next(fields)
+            for index in fields:
+                exp = next(fields)
                 if exp < top.get(index, 0):
                     top[index] = exp
-        num_pows: dict[int, list[int]] = {}
-        den_pows: dict[int, list[int]] = {}
+        return {index: -exp for index, exp in top.items()}
+
+    def _scaled_value(self, top: Mapping[int, int],
+                      values: Mapping[int, tuple[int, int]] | Sequence[tuple[int, int]]
+                      ) -> tuple[int, int]:
+        """The value as an unreduced N/Q, where variable i takes u_i/v_i for
+        ``values[i]`` = (u_i, v_i) with v_i > 0; ``top`` is
+        ``_top_exponents()``.
+
+        With D_i the top exponent of variable i, every term is an integer
+        multiple of 1/Q for Q = prod v_i^D_i > 0, so N is a sum of integers
+        and carries the sign of the value.  ``eval_at`` and the orthant
+        sampler both evaluate here; the sampler computes ``top`` once per
+        polynomial and reads the sign off N without building a Fraction.
+        """
+        powers: dict[int, tuple[list[int], list[int]]] = {}
         common = 1
         for index, top_exp in top.items():
-            value = point.value(index)
-            num_pows[index] = [value.numerator ** e for e in range(1 - top_exp)]
-            den_pows[index] = [value.denominator ** e for e in range(1 - top_exp)]
-            common *= den_pows[index][-1]
+            u, v = values[index]
+            # indexed by the stored, negated exponent: u^e is at [-e]
+            powers[index] = ([u ** e for e in range(top_exp, 0, -1)],
+                             [v ** e for e in range(top_exp, 0, -1)])
+            common *= v ** top_exp
         total = 0
         for mono, coeff in self._terms.items():
             num, den = coeff, 1
-            for index, exp in zip(mono[1::2], mono[2::2]):
-                num *= num_pows[index][-exp]
-                den *= den_pows[index][-exp]
+            fields = iter(mono)
+            next(fields)
+            for index in fields:
+                exp = next(fields)
+                num_pows, den_pows = powers[index]
+                num *= num_pows[exp]
+                den *= den_pows[exp]
             total += num * (common // den)
-        return Fraction(total, common)
+        return total, common
 
     def coeff_sign_summary(self) -> CoeffSignSummary:
         """Sound constant-sign certificate: all-positive coefficients force a

@@ -19,6 +19,7 @@ from seprkit import (
     CoeffSignSummary,
     IndexSet,
     LevelCertification,
+    Lcg64,
     Polynomial,
     RationalPoint,
     SymMatrix,
@@ -225,6 +226,27 @@ def eval_reference(p: Polynomial, point: RationalPoint) -> Fraction:
             value *= point.value(index) ** exp
         total += value
     return total
+
+
+def classify_reference(p: Polynomial, budget: int, seed: int):
+    """The sampling half of ``classify_polynomial`` as a plain loop: draw a
+    whole point of Fractions per sample, u before v for each variable in
+    table order, evaluate it termwise, and keep the first positive and the
+    first negative point.  Returns (kind, pos, neg) with kind "mixed" or
+    "unresolved"."""
+    rng = Lcg64(seed)
+    pos = neg = None
+    for _ in range(budget):
+        point = RationalPoint(p.table, tuple(Fraction(rng.draw(1, 100), rng.draw(1, 100))
+                                             for _ in range(len(p.table))))
+        value = eval_reference(p, point)
+        if value > 0 and pos is None:
+            pos = point
+        elif value < 0 and neg is None:
+            neg = point
+        if pos is not None and neg is not None:
+            return "mixed", pos, neg
+    return "unresolved", pos, neg
 
 
 def random_positive_point(rng: random.Random, table: VariableTable,

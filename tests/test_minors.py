@@ -23,6 +23,7 @@ from seprkit.minors import MAX_ENUM_DIM, _family_sums
 from _oracles import (
     constant_matrix,
     cycle_cover_masks_reference,
+    eval_reference,
     leibniz_det,
     principal_subgrid,
     random_int_grid,
@@ -232,6 +233,86 @@ def test_point_values_keep_the_cover_masks_of_entries_that_vanish():
     square = Fraction(9, 4)
     assert minor_values_at(m, point) == {0b011: -square, 0b101: square, 0b110: -square,
                                          0b111: 0}
+
+
+# ------------------------------------------- row scaling at a rational point
+
+# One prime per row and the largest power of it up to 10^6: the rows'
+# denominators are pairwise coprime, so each row has its own scale.
+ROW_DENOMINATORS = [(p, max(k for k in range(1, 20) if p ** k <= 10 ** 6))
+                    for p in (2, 3, 5, 7, 11)]
+ROW_ENTRIES = ("0", "{a} - {b}", "-3*{a}^2 + 7*{b}", "{a}*{b} - 5*{a}^2*{b}", "-2",
+               "{b}^2 - 1000003*{a}", "0")
+
+
+def row_scaled_case(choose):
+    """A matrix of order up to 5 and a point.  Row i uses only its own
+    variables a<i>, b<i>, whose values have powers of the i-th prime up to
+    10^6 as denominators; ``choose(lo, hi)`` draws each integer choice.
+    Entries have degree up to 3 and negative coefficients, a<i> - b<i>
+    vanishes when both take one value, and a row may be empty."""
+    n = choose(1, 5)
+    table = VariableTable()
+    rows, assignment = [], {}
+    for i in range(n):
+        prime, top = ROW_DENOMINATORS[i]
+        a, b = f"a{i}", f"b{i}"
+        assignment[a] = Fraction(choose(1, 10 ** 6), prime ** choose(0, top))
+        assignment[b] = (assignment[a] if choose(0, 1) else
+                         Fraction(choose(1, 10 ** 6), prime ** choose(0, top)))
+        empty = choose(0, 4) == 0
+        rows.append([parse_entry("0" if empty else
+                                 ROW_ENTRIES[choose(0, len(ROW_ENTRIES) - 1)].format(a=a, b=b),
+                                 table) for _ in range(n)])
+    for name in list(assignment):
+        if name not in table:
+            del assignment[name]
+    return SymMatrix(table, rows), RationalPoint.from_mapping(table, assignment)
+
+
+def check_row_scaled_values(m, point):
+    """``minor_values_at`` keys exactly the cover masks, in increasing
+    order, and every minor is the symbolic minor's value and the Leibniz
+    determinant of the entries evaluated termwise."""
+    values = minor_values_at(m, point)
+    assert list(values) == cycle_cover_masks_reference(m.rows)
+    assert all(type(value) is Fraction for value in values.values())
+    minors = all_principal_minors(m)
+    grid = [[eval_reference(entry, point) for entry in row] for row in m.rows]
+    for mask in range(1, 1 << m.n):
+        value = values.get(mask, 0)
+        assert value == minors.minor(mask).eval_at(point), f"mask {mask:b}"
+        assert value == leibniz_det(principal_subgrid(grid, mask)), f"mask {mask:b}"
+
+
+def test_point_values_scale_rows_with_coprime_denominators():
+    rng = random.Random(9191)
+    seen = set()
+    for trial in range(120):
+        m, point = row_scaled_case(rng.randint)
+        for row in m.rows:
+            entries = [entry for entry in row if entry]
+            if not entries:
+                seen.add("empty row")
+            seen.update("vanishing" for entry in entries if not entry.eval_at(point))
+            seen.update("degree 3" for entry in entries if entry.degree == 3)
+        seen.update("denominator > 10^5" for value in point.values
+                    if value.denominator > 10 ** 5)
+        check_row_scaled_values(m, point)
+    assert seen == {"empty row", "vanishing", "degree 3", "denominator > 10^5"}
+
+
+def test_point_values_scale_rows_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(deadline=None, database=None, max_examples=80)
+    @hypothesis.given(st.data())
+    def check(data):
+        m, point = row_scaled_case(lambda lo, hi: data.draw(st.integers(lo, hi)))
+        check_row_scaled_values(m, point)
+
+    check()
 
 
 def test_masks_of_order_equals_the_popcount_scan():

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from seprkit import (
+    CoeffSignSummary,
     IndexSet,
     Lcg64,
     Polynomial,
@@ -22,7 +23,7 @@ from seprkit import (
     sepr_at_point,
 )
 from seprkit.orthant import sign_of
-from _oracles import leibniz_det, principal_subgrid, sign_str
+from _oracles import classify_reference, leibniz_det, monomial, principal_subgrid, sign_str
 
 S = frozenset
 FULL = S("0+-")
@@ -55,15 +56,17 @@ def test_lcg_follows_the_published_recurrence():
 
 def test_lcg_fraction_and_point():
     table = VariableTable(["x", "y", "z"])
+    pairs = Lcg64(0).pairs(200)
+    assert all(1 <= u <= 100 and 1 <= v <= 100 for u, v in pairs)
+    # u is drawn before v, each by draw(1, 100)
     rng = Lcg64(0)
-    for _ in range(200):
-        f = rng.fraction()
-        assert Fraction(1, 100) <= f <= 100
+    assert pairs[:2] == [(rng.draw(1, 100), rng.draw(1, 100)) for _ in range(2)]
     point = Lcg64(3).point(table)
     assert len(point.values) == 3
     assert point.is_strictly_positive()
     assert Lcg64(3).point(table) == point  # same seed, same point
     assert Lcg64(4).point(table) != point
+    assert point.values == tuple(Fraction(u, v) for u, v in Lcg64(3).pairs(3))
 
 
 def test_negative_and_huge_seeds_are_masked():
@@ -122,6 +125,47 @@ def test_classify_rejects_nonpositive_budget():
     table = VariableTable(["a1"])
     with pytest.raises(ValueError):
         classify_polynomial(poly("a1", table), budget=0)
+
+
+def sampled_polynomial(rng, table, never_negative):
+    """A polynomial with coefficients of both signs over a random subset of
+    ``table``'s variables, exponents up to 3; ``never_negative`` squares
+    one instead, so sampling can only find a positive witness."""
+    used = rng.sample(range(len(table)), rng.randint(1, len(table)))
+    bound = 2 ** 20 if never_negative else 2 ** 40
+    while True:
+        terms = {}
+        for _ in range(rng.randint(2, 6)):
+            chosen = rng.sample(used, rng.randint(0, len(used)))
+            exps = {index: rng.randint(1, 1 if never_negative else 3) for index in chosen}
+            terms[monomial(exps)] = rng.choice([-1, 1]) * rng.randint(1, bound)
+        p = Polynomial(table, terms)
+        if never_negative:
+            p = p * p
+        if p.coeff_sign_summary() is CoeffSignSummary.MIXED_SIGNS:
+            return p
+
+
+def test_classify_matches_the_witness_stream_oracle():
+    rng = random.Random(5151)
+    outcomes = set()
+    for trial in range(150):
+        table = VariableTable([f"x{i}" for i in range(rng.randint(2, 9))])
+        never_negative = trial % 3 == 0
+        p = sampled_polynomial(rng, table, never_negative)
+        budget = rng.choice([1, 2, 5, 40])
+        seed = rng.choice([0, 1, 5, rng.getrandbits(64)])
+        verdict = classify_polynomial(p, budget=budget, seed=seed)
+        kind, pos, neg = classify_reference(p, budget, seed)
+        assert verdict.kind.value == kind, f"trial {trial}: {p}"
+        assert (verdict.pos_witness, verdict.neg_witness) == (pos, neg), f"trial {trial}: {p}"
+        assert [w and w.render() for w in (verdict.pos_witness, verdict.neg_witness)] == \
+            [w and w.render() for w in (pos, neg)]
+        if never_negative:
+            assert neg is None
+        outcomes.add((kind, pos is not None, neg is not None))
+    assert outcomes == {("mixed", True, True), ("unresolved", True, False),
+                        ("unresolved", False, True)}
 
 
 def test_size_nine_primitive_pivot_polynomial_takes_both_signs():
