@@ -240,18 +240,20 @@ def test_point_values_keep_the_cover_masks_of_entries_that_vanish():
 # One prime per row and the largest power of it up to 10^6: the rows'
 # denominators are pairwise coprime, so each row has its own scale.
 ROW_DENOMINATORS = [(p, max(k for k in range(1, 20) if p ** k <= 10 ** 6))
-                    for p in (2, 3, 5, 7, 11)]
+                    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)]
 ROW_ENTRIES = ("0", "{a} - {b}", "-3*{a}^2 + 7*{b}", "{a}*{b} - 5*{a}^2*{b}", "-2",
                "{b}^2 - 1000003*{a}", "0")
+# Nonzero entries with at most two terms, for orders up to 17.
+SPARSE_ROW_ENTRIES = ("-3*{a}^2", "{b}", "{a} - {b}", "-{a}*{b}^2")
 
 
-def row_scaled_case(choose):
-    """A matrix of order up to 5 and a point.  Row i uses only its own
-    variables a<i>, b<i>, whose values have powers of the i-th prime up to
-    10^6 as denominators; ``choose(lo, hi)`` draws each integer choice.
-    Entries have degree up to 3 and negative coefficients, a<i> - b<i>
-    vanishes when both take one value, and a row may be empty."""
-    n = choose(1, 5)
+def row_scaled_case(choose, n, pool=ROW_ENTRIES):
+    """A matrix of order n and a point.  Row i uses only its own variables
+    a<i>, b<i>, whose values have powers of the i-th prime up to 10^6 as
+    denominators; ``choose(lo, hi)`` draws each integer choice and each
+    entry is drawn from ``pool``.  Entries have degree up to 3 and negative
+    coefficients, a<i> - b<i> vanishes when both take one value, and a row
+    may be empty."""
     table = VariableTable()
     rows, assignment = [], {}
     for i in range(n):
@@ -261,8 +263,7 @@ def row_scaled_case(choose):
         assignment[b] = (assignment[a] if choose(0, 1) else
                          Fraction(choose(1, 10 ** 6), prime ** choose(0, top)))
         empty = choose(0, 4) == 0
-        rows.append([parse_entry("0" if empty else
-                                 ROW_ENTRIES[choose(0, len(ROW_ENTRIES) - 1)].format(a=a, b=b),
+        rows.append([parse_entry("0" if empty else pool[choose(0, len(pool) - 1)].format(a=a, b=b),
                                  table) for _ in range(n)])
     for name in list(assignment):
         if name not in table:
@@ -289,7 +290,7 @@ def test_point_values_scale_rows_with_coprime_denominators():
     rng = random.Random(9191)
     seen = set()
     for trial in range(120):
-        m, point = row_scaled_case(rng.randint)
+        m, point = row_scaled_case(rng.randint, rng.randint(1, 5))
         for row in m.rows:
             entries = [entry for entry in row if entry]
             if not entries:
@@ -302,6 +303,31 @@ def test_point_values_scale_rows_with_coprime_denominators():
     assert seen == {"empty row", "vanishing", "degree 3", "denominator > 10^5"}
 
 
+def test_point_values_scale_rows_across_mask_bytes():
+    # the denominator of a mask multiplies one table entry per byte of the
+    # mask, so orders 9 and 17 reach the second and the third byte; the
+    # support is a cycle through every row, loops at both ends of each byte
+    # and two chords, so its cover masks are few
+    rng = random.Random(9292)
+    spans = set()
+    for n in (9, 9, 17, 17, 17):
+        m, point = row_scaled_case(rng.randint, n, SPARSE_ROW_ENTRIES)
+        support = ({(i, (i + 1) % n) for i in range(n)}
+                   | {(i, i) for i in (0, 7, 8, 15, 16) if i < n}
+                   | {(i, (i + 2) % n) for i in rng.sample(range(n), 2)})
+        zero = Polynomial.zero(m.table)
+        m = SymMatrix(m.table, [[entry if (i, j) in support else zero
+                                 for j, entry in enumerate(row)] for i, row in enumerate(m.rows)])
+        values = minor_values_at(m, point)
+        minors = all_principal_minors(m)
+        assert list(values) == sorted(values)
+        assert set(minors.entries) <= set(values)
+        for mask, value in values.items():
+            assert value == minors.minor(mask).eval_at(point), f"mask {mask:b}"
+            spans.add(sum(1 for low in (0, 8, 16) if mask >> low & 255))
+    assert spans == {1, 2, 3}
+
+
 def test_point_values_scale_rows_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -309,7 +335,10 @@ def test_point_values_scale_rows_property():
     @hypothesis.settings(deadline=None, database=None, max_examples=80)
     @hypothesis.given(st.data())
     def check(data):
-        m, point = row_scaled_case(lambda lo, hi: data.draw(st.integers(lo, hi)))
+        def choose(lo, hi):
+            return data.draw(st.integers(lo, hi))
+
+        m, point = row_scaled_case(choose, choose(1, 5))
         check_row_scaled_values(m, point)
 
     check()

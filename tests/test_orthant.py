@@ -130,7 +130,8 @@ def test_classify_rejects_nonpositive_budget():
 def sampled_polynomial(rng, table, never_negative):
     """A polynomial with coefficients of both signs over a random subset of
     ``table``'s variables, exponents up to 3; ``never_negative`` squares
-    one instead, so sampling can only find a positive witness."""
+    one of exponents up to 1 instead, so sampling finds no negative
+    witness."""
     used = rng.sample(range(len(table)), rng.randint(1, len(table)))
     bound = 2 ** 20 if never_negative else 2 ** 40
     while True:
@@ -148,13 +149,21 @@ def sampled_polynomial(rng, table, never_negative):
 
 def test_classify_matches_the_witness_stream_oracle():
     rng = random.Random(5151)
-    outcomes = set()
+    cases = []  # (polynomial, budget, seed, never negative)
     for trial in range(150):
         table = VariableTable([f"x{i}" for i in range(rng.randint(2, 9))])
         never_negative = trial % 3 == 0
-        p = sampled_polynomial(rng, table, never_negative)
-        budget = rng.choice([1, 2, 5, 40])
-        seed = rng.choice([0, 1, 5, rng.getrandbits(64)])
+        cases.append((sampled_polynomial(rng, table, never_negative), rng.choice([1, 2, 5, 40]),
+                      rng.choice([0, 1, 5, rng.getrandbits(64)]), never_negative))
+    # (x0 - 1)^2 and x0 - 1 vanish on a sample with u = v for x0, and a
+    # zero sample spends budget but witnesses nothing
+    table = VariableTable(["x0", "x1"])
+    zero_first = [seed for seed in range(1000) if len(set(Lcg64(seed).pairs(1)[0])) == 1]
+    for seed in zero_first[:3]:
+        for text, never_negative in (("x0^2 - 2*x0 + 1", True), ("x0 - 1", False)):
+            cases += [(poly(text, table), budget, seed, never_negative) for budget in (1, 2, 60)]
+    outcomes = set()
+    for trial, (p, budget, seed, never_negative) in enumerate(cases):
         verdict = classify_polynomial(p, budget=budget, seed=seed)
         kind, pos, neg = classify_reference(p, budget, seed)
         assert verdict.kind.value == kind, f"trial {trial}: {p}"
@@ -165,7 +174,7 @@ def test_classify_matches_the_witness_stream_oracle():
             assert neg is None
         outcomes.add((kind, pos is not None, neg is not None))
     assert outcomes == {("mixed", True, True), ("unresolved", True, False),
-                        ("unresolved", False, True)}
+                        ("unresolved", False, True), ("unresolved", False, False)}
 
 
 def test_size_nine_primitive_pivot_polynomial_takes_both_signs():
