@@ -25,7 +25,7 @@ from .symmatrix import (
     paper_matrix,
     save_matrix,
 )
-from .minors import MinorTable, all_principal_minors, determinant, minor_values_at
+from .minors import MinorTable, all_principal_minors, minor_values_at, principal_minor
 from .orthant import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
@@ -73,7 +73,7 @@ __all__ = [
     "save_matrix",
     "MinorTable",
     "all_principal_minors",
-    "determinant",
+    "principal_minor",
     "minor_values_at",
     "DEFAULT_BUDGET",
     "DEFAULT_SEED",

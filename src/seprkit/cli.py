@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .certify import FAIL, INCONCLUSIVE, PASS, verify_paper_claims
-from .minors import all_principal_minors, determinant
+from .minors import all_principal_minors, principal_minor
 from .orthant import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
@@ -146,9 +146,7 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
 
 def _cmd_det(args: argparse.Namespace) -> int:
     matrix = _load_matrix_arg(args.matrix)
-    subset = IndexSet.of(args.subset, matrix.n)
-    minor = determinant(matrix.principal_submatrix(subset))
-    print(minor)
+    print(principal_minor(matrix, IndexSet.of(args.subset, matrix.n).mask()))
     return 0
 
 

@@ -8,7 +8,7 @@ is the sign (-1)^(length-1) times the sum of its edge products over the
 ways round it.  A minor whose S no family covers is identically zero.
 ``_family_sums`` evaluates these sums for every cover mask at once and is
 the one determinant engine: it runs over polynomial entries for the minor
-table and ``determinant``, and over plain integers for the point-evaluation
+table and ``principal_minor``, and over plain integers for the point-evaluation
 path, whose rows are scaled to clear the denominators of the point.  No
 function here reads the monomial layout of ``polyring``.
 """
@@ -21,9 +21,9 @@ from math import lcm
 from typing import Iterator, Sequence
 
 from .polyring import Polynomial, RationalPoint
-from .symmatrix import IndexSet, SymMatrix
+from .symmatrix import SymMatrix
 
-__all__ = ["MinorTable", "determinant", "all_principal_minors", "minor_values_at",
+__all__ = ["MinorTable", "principal_minor", "all_principal_minors", "minor_values_at",
            "MAX_ENUM_DIM"]
 
 # 2^n subsets; full enumeration is refused beyond this.
@@ -56,7 +56,12 @@ def _family_sums(row_entries, one, total, required=0) -> dict:
     later cycle covers v, so once v is done a union that misses a vertex
     of ``required`` up to v is dropped: for the one mask of a determinant
     this keeps the unions of a diagonal matrix to one per step, not 2^n.
+    Without ``required`` every cover mask is a key, so more than
+    ``MAX_ENUM_DIM`` rows are refused.
     """
+    if not required and len(row_entries) > MAX_ENUM_DIM:
+        raise ValueError(f"refusing to enumerate 2^{len(row_entries)} principal minors "
+                         f"(n > {MAX_ENUM_DIM})")
     sums = {0: one}
     for v in range(len(row_entries)):
         start, above = 1 << v, -1 << (v + 1)
@@ -88,18 +93,22 @@ def _family_sums(row_entries, one, total, required=0) -> dict:
     return sums
 
 
-def _symbolic_sums(matrix: SymMatrix, required: int) -> dict:
-    """``_family_sums`` over the matrix's polynomial entries."""
-    table = matrix.table
-    row_entries = [[(j, entry) for j, entry in enumerate(row) if entry] for row in matrix.rows]
+def _symbolic_sums(matrix: SymMatrix, mask: int, required: int) -> dict:
+    """``_family_sums`` over the polynomial entries of A[mask]: rows and
+    columns off the mask are dropped, and so are the rows above its top."""
+    table, rows = matrix.table, matrix.rows[:mask.bit_length()]
+    row_entries = [[(j, entry) for j, entry in enumerate(row) if entry and mask >> j & 1]
+                   if mask >> i & 1 else [] for i, row in enumerate(rows)]
     return _family_sums(row_entries, Polynomial.one(table), partial(Polynomial.sum_of, table),
                         required)
 
 
-def determinant(matrix: SymMatrix) -> Polynomial:
-    """Exact determinant polynomial; a 0x0 matrix yields 1."""
-    full = (1 << matrix.n) - 1
-    return _symbolic_sums(matrix, full).get(full, Polynomial.zero(matrix.table))
+def principal_minor(matrix: SymMatrix, mask: int) -> Polynomial:
+    """Exact det A[mask], bit i-1 of ``mask`` selecting index i; the empty
+    mask yields 1."""
+    if not 0 <= mask < 1 << matrix.n:
+        raise ValueError(f"subset mask {mask} out of range 0..2^{matrix.n}-1")
+    return _symbolic_sums(matrix, mask, mask).get(mask, Polynomial.zero(matrix.table))
 
 
 class MinorTable:
@@ -119,8 +128,7 @@ class MinorTable:
         for mask, m in entries.items():
             self._by_order[mask.bit_count()].append((mask, m))
 
-    def minor(self, selection: "IndexSet | int") -> Polynomial:
-        mask = selection if isinstance(selection, int) else selection.mask()
+    def minor(self, mask: int) -> Polynomial:
         if not 0 < mask < 1 << self.n:
             raise KeyError(mask)
         return self.entries.get(mask, self.zero)
@@ -142,21 +150,17 @@ class MinorTable:
             ripple = mask + low
             mask = ripple | ((ripple ^ mask) >> (low.bit_length() + 1))
 
-    def items_of_order(self, k: int) -> Iterator[tuple[IndexSet, Polynomial]]:
+    def items_of_order(self, k: int) -> Iterator[tuple[int, Polynomial]]:
+        """(mask, minor) pairs of all k-minors, zeros included, by mask."""
         for mask in self.masks_of_order(k):
-            yield IndexSet.from_mask(mask), self.minor(mask)
-
-    def __len__(self) -> int:
-        return (1 << self.n) - 1
+            yield mask, self.entries.get(mask, self.zero)
 
 
 def all_principal_minors(matrix: SymMatrix) -> MinorTable:
     """Every principal minor of ``matrix``: the family sums run over the
     cycle-cover masks only, and the table stores the nonzero results."""
     n = matrix.n
-    if n > MAX_ENUM_DIM:
-        raise ValueError(f"refusing to enumerate 2^{n} principal minors (n > {MAX_ENUM_DIM})")
-    sums = _symbolic_sums(matrix, 0)
+    sums = _symbolic_sums(matrix, (1 << n) - 1, 0)
     return MinorTable(n, {mask: sums[mask] for mask in sorted(sums) if mask and sums[mask]},
                       Polynomial.zero(matrix.table))
 
@@ -173,8 +177,6 @@ def minor_values_at(matrix: SymMatrix, point: RationalPoint) -> dict[int, Fracti
     symbolic entries: one that evaluates to 0 at the point stays an edge.
     """
     n = matrix.n
-    if n > MAX_ENUM_DIM:
-        raise ValueError(f"refusing to enumerate 2^{n} principal minors (n > {MAX_ENUM_DIM})")
     row_entries, scales = [], []
     for row in matrix.rows:
         values = [(j, entry.eval_at(point)) for j, entry in enumerate(row) if entry]

@@ -134,8 +134,15 @@ def _mono_divides(a: tuple, b: tuple) -> bool:
     """True if a divides b: every exponent of a is covered by b."""
     if a[0] < b[0]:
         return False
-    exps = dict(zip(b[1::2], b[2::2]))
-    return all(exps.get(index, 0) <= exp for index, exp in zip(a[1::2], a[2::2]))
+    j, len_b = 1, len(b)
+    for i in range(1, len(a), 2):
+        index = a[i]
+        while j < len_b and b[j] < index:
+            j += 2
+        if j == len_b or b[j] != index or b[j + 1] > a[i + 1]:
+            return False
+        j += 2
+    return True
 
 
 def _mono_of(pairs: Iterable[tuple[int, int]]) -> tuple:

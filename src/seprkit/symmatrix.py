@@ -1,4 +1,4 @@
-"""Symbolic square matrices, principal submatrices, and matrix file I/O.
+"""Symbolic square matrices, 1-based index sets, and matrix file I/O.
 
 The matrix file format is a JSON document::
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exprparse import ParseError, parse_entry
 from .polyring import Polynomial, VariableTable, _same_table
@@ -38,8 +38,8 @@ class MatrixFormatError(ValueError):
 
 @dataclass(frozen=True)
 class IndexSet:
-    """Strictly increasing 1-based row/column indices selecting a principal
-    submatrix; its size is the order of the corresponding minor."""
+    """The 1-based text form of a subset, strictly increasing; the core
+    works on its ``mask()``, in which bit i-1 selects index i."""
 
     indices: tuple[int, ...]
 
@@ -59,12 +59,6 @@ class IndexSet:
 
     def mask(self) -> int:
         return sum(1 << (i - 1) for i in self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in self.indices) + "}"
@@ -88,14 +82,6 @@ class SymMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def principal_submatrix(self, selection: "IndexSet | Iterable[int]") -> "SymMatrix":
-        if not isinstance(selection, IndexSet):
-            selection = IndexSet.of(selection, self.n)
-        elif any(not 1 <= i <= self.n for i in selection):
-            raise ValueError("index out of range")
-        picked = [i - 1 for i in selection]
-        return SymMatrix(self.table, [[self.rows[r][c] for c in picked] for r in picked])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymMatrix):
             return NotImplemented
@@ -116,13 +102,15 @@ def matrix_from_document(document: Mapping) -> SymMatrix:
         entries = document["entries"]
     except KeyError as missing:
         raise MatrixFormatError(f"missing field {missing.args[0]!r}") from None
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise MatrixFormatError("'n' must be a positive integer")
     table = VariableTable()
     declared = document.get("variables", [])
     if not isinstance(declared, list) or any(not isinstance(v, str) for v in declared):
         raise MatrixFormatError("'variables' must be a list of names")
     for name in declared:
+        if name in table:
+            raise MatrixFormatError(f"variable {name!r} declared twice")
         try:
             table.add(name)
         except ValueError as exc:

@@ -89,6 +89,8 @@ def sparse_perm_det(rows, zero):
 
 
 def principal_subgrid(grid, mask):
+    """The rows and columns of ``grid`` whose bit is set in ``mask`` (bit i
+    selects row and column i), picked without the package's code."""
     index = [i for i in range(len(grid)) if mask >> i & 1]
     return [[grid[i][j] for j in index] for i in index]
 

@@ -25,8 +25,8 @@ from seprkit import (
     VariableTable,
     certify_level,
     classify_polynomial,
-    determinant,
     parse_entry,
+    principal_minor,
     reduce_by,
     sepr_at_point,
 )
@@ -36,6 +36,7 @@ from _oracles import (
     constant_matrix,
     leibniz_det,
     monomial_divides,
+    principal_subgrid,
     random_int_grid,
     random_polynomial,
     random_positive_point,
@@ -94,23 +95,23 @@ def test_criterion_3_mixed_size9_census(builtin_matrix, builtin_minors):
                     "each Mixed with opposite-sign witnesses"):
         zero = Polynomial.zero(builtin_matrix.table)
         expected = {
-            IndexSet.of({1, 2, j} | set(range(7, 13)), 12) for j in (3, 4, 5, 6)
+            IndexSet.of({1, 2, j} | set(range(7, 13)), 12).mask() for j in (3, 4, 5, 6)
         }
         nonzero = set()
-        for subset, minor in builtin_minors.items_of_order(9):
+        for mask, minor in builtin_minors.items_of_order(9):
             # independent oracle: signed permutation sum over nonzero entries
-            sub = builtin_matrix.principal_submatrix(subset)
-            rows = [[(j, e) for j, e in enumerate(row) if e] for row in sub.rows]
+            sub = principal_subgrid(builtin_matrix.rows, mask)
+            rows = [[(j, e) for j, e in enumerate(row) if e] for row in sub]
             oracle = sparse_perm_det(rows, zero)
-            assert minor == oracle, subset
+            assert minor == oracle, IndexSet.from_mask(mask)
             if not minor.is_zero():
-                nonzero.add(subset)
+                nonzero.add(mask)
         assert nonzero == expected
         assert len(list(builtin_minors.items_of_order(9))) == 220
-        for subset in sorted(nonzero, key=lambda s: s.mask()):
-            minor = builtin_minors.minor(subset)
+        for mask in sorted(nonzero):
+            minor = builtin_minors.minor(mask)
             verdict_ = classify_polynomial(minor)
-            assert verdict_.kind is SignKind.MIXED, subset
+            assert verdict_.kind is SignKind.MIXED, IndexSet.from_mask(mask)
             assert verdict_.pos_witness.is_strictly_positive()
             assert verdict_.neg_witness.is_strictly_positive()
             assert minor.eval_at(verdict_.pos_witness) > 0
@@ -137,14 +138,15 @@ def test_criterion_5_determinant_oracle():
             grid = random_int_grid(rng, n)
             m = SymMatrix(table, constant_matrix(table, grid))
             reference = leibniz_det(grid)
-            assert determinant(m) == reference
-            assert determinant(transposed(m)) == reference
+            full = (1 << n) - 1
+            assert principal_minor(m, full) == reference
+            assert principal_minor(transposed(m), full) == reference
             if n >= 2:
                 i, j = rng.sample(range(n), 2)
                 swapped = [list(row) for row in grid]
                 swapped[i], swapped[j] = swapped[j], swapped[i]
                 m_swapped = SymMatrix(table, constant_matrix(table, swapped))
-                assert determinant(m_swapped) == -reference
+                assert principal_minor(m_swapped, full) == -reference
 
 
 def test_criterion_6_property_batteries(builtin_matrix, builtin_minors):

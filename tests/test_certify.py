@@ -95,25 +95,25 @@ def test_case_rule_on_the_four_nonzero_size9_minors(builtin_matrix, builtin_mino
         6: ("+", None, "+"),
     }
     for j, subset in zip((3, 4, 5, 6), SIZE9_SUBSETS):
-        dec = check_case_rule(builtin_minors.minor(subset), D, subset)
+        dec = check_case_rule(builtin_minors.minor(subset.mask()), D, subset)
         assert (dec.when_pos, dec.when_neg, dec.when_zero) == expected[j], j
         assert dec.identity_holds(D)
         assert dec.q * D + dec.r == dec.minor
     # the j=3 quotient is the positive monomial from the claim
-    dec3 = check_case_rule(builtin_minors.minor(SIZE9_SUBSETS[0]), D)
+    dec3 = check_case_rule(builtin_minors.minor(SIZE9_SUBSETS[0].mask()), D)
     assert str(dec3.q) == "a1*a2*a3*b8*c1*c2*c3"
     assert dec3.r.is_zero()
 
 
 def test_case_rule_constant_sign_shortcut(builtin_matrix, builtin_minors):
     D = pivot_poly(builtin_matrix.table)
-    pos_minor = builtin_minors.minor(IndexSet.of([1, 7, 10], 12))
+    pos_minor = builtin_minors.minor(IndexSet.of([1, 7, 10], 12).mask())
     dec = check_case_rule(pos_minor, D)
     assert (dec.when_pos, dec.when_neg, dec.when_zero) == ("+", "+", "+")
-    neg_minor = builtin_minors.minor(IndexSet.of([4, 9, 12], 12))
+    neg_minor = builtin_minors.minor(IndexSet.of([4, 9, 12], 12).mask())
     dec = check_case_rule(neg_minor, D)
     assert (dec.when_pos, dec.when_neg, dec.when_zero) == ("-", "-", "-")
-    zero_minor = builtin_minors.minor(IndexSet.of([1, 2, 3], 12))
+    zero_minor = builtin_minors.minor(IndexSet.of([1, 2, 3], 12).mask())
     dec = check_case_rule(zero_minor, D)
     assert (dec.when_pos, dec.when_neg, dec.when_zero) == ("0", "0", "0")
 
@@ -147,7 +147,7 @@ def test_case_rule_matches_the_sign_table():
 
 def test_case_rule_concluded_accessor(builtin_matrix, builtin_minors):
     D = pivot_poly(builtin_matrix.table)
-    dec = check_case_rule(builtin_minors.minor(SIZE9_SUBSETS[0]), D)
+    dec = check_case_rule(builtin_minors.minor(SIZE9_SUBSETS[0].mask()), D)
     assert dec.concluded("D>0") == "+"
     assert dec.concluded("D<0") == "-"
     assert dec.concluded("D=0") == "0"
@@ -159,7 +159,7 @@ def test_case_rule_concluded_accessor(builtin_matrix, builtin_minors):
 
 
 def test_discover_pivots_on_size9_minors(builtin_minors):
-    nonzero = [builtin_minors.minor(s) for s in SIZE9_SUBSETS]
+    nonzero = [builtin_minors.minor(s.mask()) for s in SIZE9_SUBSETS]
     candidates = discover_pivots(nonzero)
     assert [str(c) for c in candidates] == [
         "b1*b4 - b2*b3",
@@ -378,7 +378,7 @@ def test_mutated_matrix_size9_minors_still_take_both_signs(mutated_report):
     claims = check_expected(mutated_report, PAPER_MATRIX_DOCUMENT["expected"])
     by_name = {c.name: c for c in claims}
     assert by_name["mixed-size-9"].status == PASS
-    changed = mutated_report.minors.minor(SIZE9_SUBSETS[2])
+    changed = mutated_report.minors.minor(SIZE9_SUBSETS[2].mask())
     assert "b1*b5*b7" in str(changed)
 
 

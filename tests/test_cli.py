@@ -242,6 +242,21 @@ def test_hostile_exponent_in_matrix_file_exits_three(tmp_path, entry, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("document, message", [
+    pytest.param({"n": True, "entries": [["x"]]}, "'n' must be a positive integer",
+                 id="boolean-order"),
+    pytest.param({"n": 1, "variables": ["a", "a"], "entries": [["a"]]},
+                 "variable 'a' declared twice", id="variable-declared-twice"),
+])
+def test_malformed_matrix_document_exits_three(tmp_path, document, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(document))
+    code, _, err = run_cli("det", "--matrix", str(path), "--subset", "1")
+    assert code == 3
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_missing_matrix_file_exits_three(tmp_path):
     code, _, err = run_cli("det", "--matrix", str(tmp_path / "nope.json"),
                            "--subset", "1")

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -15,9 +16,9 @@ from seprkit import (
     SymMatrix,
     VariableTable,
     all_principal_minors,
-    determinant,
     minor_values_at,
     parse_entry,
+    principal_minor,
 )
 from seprkit.minors import MAX_ENUM_DIM, _family_sums
 from _oracles import (
@@ -37,6 +38,10 @@ def int_matrix(table, grid):
     return SymMatrix(table, constant_matrix(table, grid))
 
 
+def full_minor(matrix):
+    return principal_minor(matrix, (1 << matrix.n) - 1)
+
+
 def swap_rows(grid, i, j):
     swapped = [list(row) for row in grid]
     swapped[i], swapped[j] = swapped[j], swapped[i]
@@ -49,7 +54,7 @@ def test_determinant_matches_leibniz_on_random_integer_matrices():
     for trial in range(220):
         n = rng.randint(1, 5)
         grid = random_int_grid(rng, n)
-        got = determinant(int_matrix(table, grid))
+        got = full_minor(int_matrix(table, grid))
         assert got == leibniz_det(grid), f"trial {trial}: {grid}"
 
 
@@ -60,9 +65,9 @@ def test_transpose_invariance_and_row_swap_antisymmetry():
         n = rng.randint(2, 5)
         grid = random_int_grid(rng, n)
         m = int_matrix(table, grid)
-        assert determinant(transposed(m)) == determinant(m)
+        assert full_minor(transposed(m)) == full_minor(m)
         i, j = rng.sample(range(n), 2)
-        assert determinant(int_matrix(table, swap_rows(grid, i, j))) == -determinant(m)
+        assert full_minor(int_matrix(table, swap_rows(grid, i, j))) == -full_minor(m)
 
 
 def test_block_upper_triangular_determinant_factors():
@@ -76,55 +81,55 @@ def test_block_upper_triangular_determinant_factors():
                 if i < p else
                 [0 if j < p else c[i - p][j - p] for j in range(p + q)]
                 for i in range(p + q)]
-        got = determinant(int_matrix(table, grid))
+        got = full_minor(int_matrix(table, grid))
         assert got == leibniz_det(a) * leibniz_det(c)
 
 
 def test_symbolic_determinants():
     table = VariableTable(["a", "b", "c", "d"])
     rows = [[parse_entry(t, table) for t in row] for row in (["a", "b"], ["c", "d"])]
-    assert str(determinant(SymMatrix(table, rows))) == "a*d - b*c"
-    assert determinant(SymMatrix(table, [])) == 1  # 0x0 convention
+    assert str(full_minor(SymMatrix(table, rows))) == "a*d - b*c"
+    assert principal_minor(SymMatrix(table, []), 0) == 1  # 0x0 convention
+    assert principal_minor(SymMatrix(table, rows), 0) == 1
+    assert str(principal_minor(SymMatrix(table, rows), 0b10)) == "d"
     single = SymMatrix(table, [[parse_entry("a - d", table)]])
-    assert str(determinant(single)) == "a - d"
+    assert str(full_minor(single)) == "a - d"
 
 
 def test_symbolic_determinant_matches_leibniz_on_dense_variable_matrix():
     table = VariableTable()
     rows = [[Polynomial.variable(table, f"x{i}{j}") for j in range(3)] for i in range(3)]
     m = SymMatrix(table, rows)
-    assert determinant(m) == leibniz_det(rows)
-    assert len(list(determinant(m).terms())) == 6
+    assert full_minor(m) == leibniz_det(rows)
+    assert len(list(full_minor(m).terms())) == 6
 
 
 def test_minor_table_covers_every_subset(builtin_minors):
-    assert len(builtin_minors) == 2 ** 12 - 1
     for k in range(1, 13):
         masks = list(builtin_minors.masks_of_order(k))
         assert len(masks) == math.comb(12, k)
         assert masks == sorted(masks)
-    subset = IndexSet.of([1, 7, 10], 12)
-    assert builtin_minors.minor(subset) == builtin_minors.minor(subset.mask())
+        assert list(builtin_minors.items_of_order(k)) == [
+            (mask, builtin_minors.minor(mask)) for mask in masks]
 
 
 def test_minor_table_agrees_with_fresh_determinants(builtin_matrix, builtin_minors):
     rng = random.Random(5)
     for _ in range(25):
         k = rng.randint(1, 12)
-        subset = IndexSet.of(rng.sample(range(1, 13), k), 12)
-        direct = determinant(builtin_matrix.principal_submatrix(subset))
-        assert builtin_minors.minor(subset) == direct
+        mask = IndexSet.of(rng.sample(range(1, 13), k), 12).mask()
+        assert builtin_minors.minor(mask) == principal_minor(builtin_matrix, mask)
 
 
 def test_minor_table_agrees_with_sparse_permutation_oracle(builtin_matrix, builtin_minors):
     zero = Polynomial.zero(builtin_matrix.table)
     rng = random.Random(6)
-    subsets = [IndexSet.of(rng.sample(range(1, 13), rng.randint(1, 9)), 12)
-               for _ in range(30)]
-    for subset in subsets:
-        sub = builtin_matrix.principal_submatrix(subset)
-        rows = [[(j, e) for j, e in enumerate(row) if e] for row in sub.rows]
-        assert builtin_minors.minor(subset) == sparse_perm_det(rows, zero)
+    masks = [IndexSet.of(rng.sample(range(1, 13), rng.randint(1, 9)), 12).mask()
+             for _ in range(30)]
+    for mask in masks:
+        sub = principal_subgrid(builtin_matrix.rows, mask)
+        rows = [[(j, e) for j, e in enumerate(row) if e] for row in sub]
+        assert builtin_minors.minor(mask) == sparse_perm_det(rows, zero)
 
 
 def test_enumeration_guard():
@@ -134,6 +139,11 @@ def test_enumeration_guard():
     big = SymMatrix(table, [[zero] * n for _ in range(n)])
     with pytest.raises(ValueError, match="refusing"):
         all_principal_minors(big)
+    with pytest.raises(ValueError, match="refusing"):
+        minor_values_at(big, RationalPoint.all_ones(table))
+    # one minor enumerates nothing, so its order is not bounded
+    assert principal_minor(big, 0) == 1
+    assert principal_minor(big, (1 << n) - 1) == zero
 
 
 def test_minor_values_match_symbolic_evaluation(builtin_matrix, builtin_minors):
@@ -174,6 +184,8 @@ def sparse_grid(rng, n, entry):
 
 
 def test_all_principal_minors_match_leibniz_on_sparse_grids():
+    # principal_minor answers every mask, 0 included, with the Leibniz
+    # determinant, and so does the table on the nonempty ones
     table = VariableTable()
     rng = random.Random(4242)
 
@@ -185,10 +197,14 @@ def test_all_principal_minors_match_leibniz_on_sparse_grids():
         grid = sparse_grid(rng, n, entry)
         m = int_matrix(table, grid)
         minors = all_principal_minors(m)
-        assert len(minors) == 2 ** n - 1
-        for mask in range(1, 1 << n):
-            assert minors.minor(mask) == leibniz_det(principal_subgrid(grid, mask)), \
-                f"trial {trial}, mask {mask:b}: {grid}"
+        for mask in range(1 << n):
+            det = leibniz_det(principal_subgrid(grid, mask))
+            assert principal_minor(m, mask) == det, f"trial {trial}, mask {mask:b}: {grid}"
+            if mask:
+                assert minors.minor(mask) == det, f"trial {trial}, mask {mask:b}: {grid}"
+        for mask in (-1, 1 << n):
+            with pytest.raises(ValueError, match="out of range"):
+                principal_minor(m, mask)
 
 
 def test_point_values_match_symbolic_minors_on_sparse_grids():
@@ -427,39 +443,61 @@ def test_cycle_cover_masks_of_known_supports():
     assert all(ones[mask] == (mask.bit_count() <= 1) for mask in ones)
 
 
-def test_determinant_of_a_sparse_matrix_is_linear_in_its_order():
+def test_determinant_of_a_sparse_matrix_is_linear_in_its_order(monkeypatch):
     # a union that misses a done vertex is dropped, so a diagonal matrix
     # takes two sums per vertex and a tridiagonal one a path per pair
-    # (i, j); an engine that kept every union would build 2^n of them
-    def counted(limit):
-        calls = []
-
+    # (i, j); an engine that kept every union would build 2^n of them.
+    # principal_minor drops the rows and columns off its mask, so a proper
+    # sub-mask builds exactly the sums of the extracted submatrix
+    def counted(limit, add=sum):
         def total(terms):
-            calls.append(len(terms))
-            assert len(calls) <= limit, "the union step is building every cover mask"
-            return sum(terms)
+            total.calls += 1
+            assert total.calls <= limit, "the union step is building every cover mask"
+            return add(terms)
+        total.calls = 0
         return total
+
+    def check_sub_mask(grid, mask, limit, expected):
+        sub = principal_subgrid(grid, mask)
+        sub_total, sub_full = counted(limit), (1 << len(sub)) - 1
+        assert _family_sums(support_entries(sub), 1, sub_total, sub_full) == {
+            sub_full: expected}
+        # principal_minor sums its polynomials through Polynomial.sum_of
+        table = VariableTable()
+        total = counted(limit, partial(Polynomial.sum_of, table))
+        with monkeypatch.context() as patch:
+            patch.setattr(Polynomial, "sum_of", staticmethod(lambda _, polys: total(polys)))
+            assert principal_minor(int_matrix(table, grid), mask) == expected
+        assert total.calls == sub_total.calls
+
+    def continuant(grid):
+        before, det = 1, grid[0][0]
+        for k in range(1, len(grid)):
+            before, det = det, grid[k][k] * det - grid[k][k - 1] * grid[k - 1][k] * before
+        return det
 
     n = 40
     diagonal = [[i + 2 if i == j else 0 for j in range(n)] for i in range(n)]
     full = (1 << n) - 1
     assert _family_sums(support_entries(diagonal), 1, counted(2 * n), full) == {
         full: math.prod(range(2, n + 2))}
+    mask = full & ~(1 << 3) & ~(1 << 17) & ~(1 << 39)
+    check_sub_mask(diagonal, mask, 2 * n, math.prod(i + 2 for i in range(n) if mask >> i & 1))
     n = 30
     rng = random.Random(30)
     grid = [[rng.choice([-3, -1, 2, 5]) if abs(i - j) <= 1 else 0 for j in range(n)]
             for i in range(n)]
-    before, det = 1, grid[0][0]  # the continuant recurrence
-    for k in range(1, n):
-        before, det = det, grid[k][k] * det - grid[k][k - 1] * grid[k - 1][k] * before
     full = (1 << n) - 1
-    assert _family_sums(support_entries(grid), 1, counted(n * n), full) == {full: det}
+    assert _family_sums(support_entries(grid), 1, counted(n * n), full) == {
+        full: continuant(grid)}
+    mask = full & ~(1 << 0) & ~(1 << 12) & ~(1 << 13) & ~(1 << 29)
+    check_sub_mask(grid, mask, n * n, continuant(principal_subgrid(grid, mask)))
 
     table = VariableTable()
     names = [f"x{i}" for i in range(40)]
     rows = [[Polynomial.variable(table, name) if i == j else Polynomial.zero(table)
              for j in range(40)] for i, name in enumerate(names)]
-    assert str(determinant(SymMatrix(table, rows))) == "*".join(names)
+    assert str(full_minor(SymMatrix(table, rows))) == "*".join(names)
 
 
 def test_minor_table_stores_only_nonzero_minors(builtin_matrix, builtin_minors):
@@ -467,7 +505,6 @@ def test_minor_table_stores_only_nonzero_minors(builtin_matrix, builtin_minors):
     assert list(builtin_minors.entries) == sorted(builtin_minors.entries)
     assert all(not m.is_zero() for m in builtin_minors.entries.values())
     assert {mask.bit_count() for mask in builtin_minors.entries} == {3, 6, 9}
-    assert len(builtin_minors) == 2 ** n - 1
     stored = []
     for k in range(-1, n + 2):
         pairs = list(builtin_minors.nonzero_of_order(k))

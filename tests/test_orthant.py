@@ -279,12 +279,12 @@ def test_exact_classifications_agree_with_point_signs(builtin_matrix, builtin_mi
     points = [random_positive_point(rng, builtin_matrix.table) for _ in range(5)]
     by_kind = {SignKind.POS: "+", SignKind.NEG: "-", SignKind.ZERO: "0"}
     checked = 0
-    for subset, minor in builtin_minors.items_of_order(3):
+    for mask, minor in builtin_minors.items_of_order(3):
         verdict = classify_polynomial(minor, budget=1)
         expected = by_kind.get(verdict.kind)
         if expected is None:
             continue
         for point in points:
-            assert sign_str(minor.eval_at(point)) == expected, subset
+            assert sign_str(minor.eval_at(point)) == expected, IndexSet.from_mask(mask)
         checked += 1
     assert checked == 220
