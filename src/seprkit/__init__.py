@@ -23,7 +23,6 @@ from .symmatrix import (
     matrix_from_document,
     matrix_to_document,
     paper_matrix,
-    save_matrix,
 )
 from .minors import MinorTable, all_principal_minors, minor_values_at, principal_minor
 from .orthant import (
@@ -70,7 +69,6 @@ __all__ = [
     "matrix_from_document",
     "matrix_to_document",
     "paper_matrix",
-    "save_matrix",
     "MinorTable",
     "all_principal_minors",
     "principal_minor",

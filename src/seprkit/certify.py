@@ -12,7 +12,7 @@ point):
   nonzero k-minor m, with sign conclusions per case sign(D) in {+, -, 0}
   drawn from sound coefficient rules.  A sign concluded in all three cases
   holds at every positive point, because each point lands in exactly one
-  case.
+  case.  The winning test's decompositions are kept in the certificate.
 
 ``analyze`` runs the pipeline on any square matrix, assuming no answer;
 ``check_expected`` checks it against an expected sepr-sequence given as
@@ -71,6 +71,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 _CASE_KEYS = ("D>0", "D<0", "D=0")
 
+# Text report columns for a level row's class counts, in SignKind order.
+_COUNT_COLUMNS = (("zero", 5), ("pos", 4), ("neg", 4), ("mixed", 5), ("unres", 5))
+
 _CONSTANT_SIGN = {
     CoeffSignSummary.ALL_ZERO: "0",
     CoeffSignSummary.ALL_POSITIVE: "+",
@@ -86,34 +89,32 @@ _FULL = frozenset({"0", "+", "-"})
 @dataclass(frozen=True)
 class CaseDecomposition:
     """One minor's exact division by the pivot, m = q*D + r, plus the sign
-    concluded (or None for unknown) in each of the cases D>0, D<0, D=0."""
+    concluded (or None for unknown) per case of _CASE_KEYS; ``mask`` is the
+    minor's subset, 0 outside a certificate."""
 
-    subset: IndexSet | None
+    mask: int
     minor: Polynomial
     q: Polynomial
     r: Polynomial
-    when_pos: str | None
-    when_neg: str | None
-    when_zero: str | None
+    cases: tuple[str | None, str | None, str | None]
 
     def concluded(self, case: str) -> str | None:
-        return (self.when_pos, self.when_neg, self.when_zero)[_CASE_KEYS.index(case)]
+        return self.cases[_CASE_KEYS.index(case)]
 
     def identity_holds(self, pivot: Polynomial) -> bool:
         return self.q * pivot + self.r == self.minor
 
     def to_document(self) -> dict:
         return {
-            "subset": str(self.subset) if self.subset is not None else None,
+            "subset": str(IndexSet.from_mask(self.mask)) if self.mask else None,
             "minor": str(self.minor),
             "q": str(self.q),
             "r": str(self.r),
-            "cases": {case: self.concluded(case) for case in _CASE_KEYS},
+            "cases": dict(zip(_CASE_KEYS, self.cases)),
         }
 
 
-def check_case_rule(m: Polynomial, D: Polynomial,
-                    subset: IndexSet | None = None) -> CaseDecomposition:
+def check_case_rule(m: Polynomial, D: Polynomial, mask: int = 0) -> CaseDecomposition:
     """Divide m by the pivot and apply the sound sign rules case by case.
 
     With (q, r) = reduce_by(m, D), sign(x) is the sign that x's coefficients
@@ -129,16 +130,19 @@ def check_case_rule(m: Polynomial, D: Polynomial,
     """
     if D.is_zero():
         raise ValueError("zero pivot")
+    return _decompose(m, _CONSTANT_SIGN.get(m.coeff_sign_summary()), D, mask)
+
+
+def _decompose(m: Polynomial, sign: str | None, D: Polynomial,
+               mask: int) -> CaseDecomposition:
+    """``check_case_rule`` for a nonzero pivot D, given m's own sign(m)."""
     q, r = reduce_by(m, D)
-
-    fixed = _CONSTANT_SIGN.get(m.coeff_sign_summary())
-    if fixed is not None:
-        return CaseDecomposition(subset, m, q, r, fixed, fixed, fixed)
-
+    if sign is not None:
+        return CaseDecomposition(mask, m, q, r, (sign, sign, sign))
     sq = _CONSTANT_SIGN.get(q.coeff_sign_summary())
     sr = _CONSTANT_SIGN.get(r.coeff_sign_summary())
-    return CaseDecomposition(subset, m, q, r,
-                             _sum_sign(sq, sr), _sum_sign(_NEGATED[sq], sr), sr)
+    return CaseDecomposition(mask, m, q, r,
+                             (_sum_sign(sq, sr), _sum_sign(_NEGATED[sq], sr), sr))
 
 
 def _sum_sign(a: str | None, b: str | None) -> str | None:
@@ -170,10 +174,6 @@ class Certificate:
     def verify_identities(self) -> bool:
         """Re-multiply every decomposition: m == q*D + r, exactly."""
         return all(dec.identity_holds(self.pivot) for dec in self.decompositions)
-
-    def signs_concluded_everywhere(self) -> frozenset:
-        """Signs concluded by at least one decomposition in every case."""
-        return _concluded_everywhere(self.decompositions)
 
     def to_document(self) -> dict:
         return {
@@ -228,18 +228,20 @@ def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertifi
     guaranteed = frozenset(sign for _, _, sign in level) - {None}
     if len(nonzero) < comb(matrix.n, k):
         guaranteed |= _ZERO_ONLY
-    mixed = [m for _, m, sign in level if sign is None]
+    mixed = {mask: m for mask, m, sign in level if sign is None}
     if not mixed and guaranteed == _ZERO_ONLY:
         return LevelCertification(guaranteed, METHOD_ALL_ZERO, None)
     missing = {"+", "-"} - guaranteed if mixed else set()
     if not missing:
         return LevelCertification(guaranteed, METHOD_CONSTANT_SIGN, None)
 
-    for pivot in discover_pivots(mixed):
-        if missing <= _concluded_everywhere([check_case_rule(m, pivot) for m in mixed]):
+    # A winner's trial decompositions join its constant-sign minors' ones.
+    for pivot in discover_pivots(list(mixed.values())):
+        trial = {mask: _decompose(m, None, pivot, mask) for mask, m in mixed.items()}
+        if missing <= _concluded_everywhere(list(trial.values())):
             guaranteed |= missing
-            decs = tuple(check_case_rule(m, pivot, IndexSet.from_mask(mask))
-                         for mask, m in nonzero)
+            decs = tuple(trial[mask] if sign is None else _decompose(m, sign, pivot, mask)
+                         for mask, m, sign in level)
             return LevelCertification(guaranteed, METHOD_PIVOT,
                                       Certificate(k, pivot, decs, guaranteed))
     return LevelCertification(guaranteed, METHOD_SAMPLING, None)
@@ -329,33 +331,25 @@ class VerificationReport:
         }
 
     def render_text(self) -> str:
-        lines = [f"principal minor sign analysis: n={self.n} seed={self.seed} "
-                 f"budget={self.budget}",
+        """The text form of ``to_document()``, which is its only input."""
+        doc = self.to_document()
+        lines = [f"principal minor sign analysis: n={doc['n']} seed={doc['seed']} "
+                 f"budget={doc['budget']}",
                  "",
                  f"{'k':>3}  {'guaranteed':<10}  {'method':<16}  "
-                 f"{'zero':>5} {'pos':>4} {'neg':>4} {'mixed':>5} {'unres':>5}"]
-        for level in self.sepr:
-            counts = level.class_counts
-            lines.append(
-                f"{level.k:>3}  {format_sign_set(level.guaranteed):<10}  "
-                f"{level.method:<16}  "
-                f"{counts.get('zero', 0):>5} {counts.get('pos', 0):>4} "
-                f"{counts.get('neg', 0):>4} {counts.get('mixed', 0):>5} "
-                f"{counts.get('unresolved', 0):>5}")
-        for level in self.sepr:
-            if level.certificate is not None:
-                lines.append("")
-                lines.append(f"certificate for k={level.k}: pivot D = "
-                             f"{level.certificate.pivot}")
-                for dec in level.certificate.decompositions:
-                    cases = " ".join(f"{case}:{dec.concluded(case) or '?'}"
-                                     for case in _CASE_KEYS)
-                    lines.append(f"  {dec.subset}  q = {dec.q}; r = {dec.r}  [{cases}]")
-        lines.append("")
-        for claim in self.claims:
-            lines.append(f"[{claim.status}] {claim.name}: {claim.details}")
-        lines.append(f"overall: {self.overall}")
-        return "\n".join(lines) + "\n"
+                 + " ".join(f"{label:>{width}}" for label, width in _COUNT_COLUMNS)]
+        for row in doc["sepr"]:
+            guaranteed = "{" + ",".join(row["guaranteed"]) + "}"
+            counts = " ".join(f"{count:>{width}}" for count, (_, width)
+                              in zip(row["class_counts"].values(), _COUNT_COLUMNS))
+            lines.append(f"{row['k']:>3}  {guaranteed:<10}  {row['method']:<16}  {counts}")
+        for cert in doc["certificates"]:
+            lines += ["", f"certificate for k={cert['k']}: pivot D = {cert['pivot']}"]
+            for dec in cert["decompositions"]:
+                cases = " ".join(f"{case}:{sign or '?'}" for case, sign in dec["cases"].items())
+                lines.append(f"  {dec['subset']}  q = {dec['q']}; r = {dec['r']}  [{cases}]")
+        claims = [f"[{c['status']}] {c['name']}: {c['details']}" for c in doc["claims"]]
+        return "\n".join([*lines, "", *claims, f"overall: {doc['overall']}"]) + "\n"
 
 
 def analyze(matrix: SymMatrix, budget: int = DEFAULT_BUDGET,

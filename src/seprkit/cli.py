@@ -7,13 +7,15 @@ reports the orthant sign class of each principal minor.  All output is
 deterministic for fixed inputs and seed.
 
 Exit codes: 0 success / all claims pass, 1 a claim fails, 2 verification
-inconclusive, 3 invalid flags or bad input.
+inconclusive, 3 invalid flags or bad input, 141 (a shell's status for death by
+SIGPIPE) the reader closed the output pipe early, as ``| head`` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -191,7 +193,14 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; devnull keeps that one quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except (OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

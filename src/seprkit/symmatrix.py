@@ -27,7 +27,6 @@ __all__ = [
     "matrix_from_document",
     "matrix_to_document",
     "load_matrix",
-    "save_matrix",
     "PAPER_MATRIX_DOCUMENT",
 ]
 
@@ -150,10 +149,6 @@ def load_matrix(path: "str | Path") -> SymMatrix:
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
     return matrix_from_document(document)
-
-
-def save_matrix(matrix: SymMatrix, path: "str | Path") -> None:
-    Path(path).write_text(json.dumps(matrix_to_document(matrix), indent=2) + "\n")
 
 
 PAPER_MATRIX_DOCUMENT = json.loads(

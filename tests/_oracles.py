@@ -281,11 +281,12 @@ def certificate_mismatches(certificate, points) -> list[str]:
             actual = sign_str(dec.minor.eval_at(point))
             if actual != concluded:
                 problems.append(
-                    f"{dec.subset} case {case}: concluded {concluded}, got {actual}")
+                    f"{IndexSet.from_mask(dec.mask)} case {case}: "
+                    f"concluded {concluded}, got {actual}")
     return problems
 
 
-def case_rule_reference(m: Polynomial, D: Polynomial, subset=None) -> CaseDecomposition:
+def case_rule_reference(m: Polynomial, D: Polynomial, mask: int = 0) -> CaseDecomposition:
     """The case rules as an explicit table over the coefficient-sign
     summaries of m, q and r, with (q, r) = reduce_by(m, D)."""
     q, r = reduce_by(m, D)
@@ -293,7 +294,7 @@ def case_rule_reference(m: Polynomial, D: Polynomial, subset=None) -> CaseDecomp
                 CoeffSignSummary.ALL_NEGATIVE: "-"}
     fixed = constant.get(m.coeff_sign_summary())
     if fixed is not None:
-        return CaseDecomposition(subset, m, q, r, fixed, fixed, fixed)
+        return CaseDecomposition(mask, m, q, r, (fixed, fixed, fixed))
     sq, sr = q.coeff_sign_summary(), r.coeff_sign_summary()
     when_pos = when_neg = None
     if sq is CoeffSignSummary.ALL_POSITIVE:
@@ -306,7 +307,7 @@ def case_rule_reference(m: Polynomial, D: Polynomial, subset=None) -> CaseDecomp
             when_pos = "-"
         if sr in (CoeffSignSummary.ALL_POSITIVE, CoeffSignSummary.ALL_ZERO):
             when_neg = "+"
-    return CaseDecomposition(subset, m, q, r, when_pos, when_neg, constant.get(sr))
+    return CaseDecomposition(mask, m, q, r, (when_pos, when_neg, constant.get(sr)))
 
 
 def certify_level_reference(matrix, k: int, minors) -> LevelCertification:
@@ -327,10 +328,10 @@ def certify_level_reference(matrix, k: int, minors) -> LevelCertification:
     missing = {"+", "-"} - guaranteed if mixed else set()
     if not missing:
         return LevelCertification(frozenset(guaranteed), METHOD_CONSTANT_SIGN, None)
-    nonzero = [(IndexSet.from_mask(mask), minors.minor(mask)) for mask, s in summaries
+    nonzero = [(mask, minors.minor(mask)) for mask, s in summaries
                if s is not CoeffSignSummary.ALL_ZERO]
     for pivot in discover_pivots(mixed):
-        decs = tuple(case_rule_reference(m, pivot, subset) for subset, m in nonzero)
+        decs = tuple(case_rule_reference(m, pivot, mask) for mask, m in nonzero)
         provable = {"+", "-"}
         for case in ("D>0", "D<0", "D=0"):
             provable &= {dec.concluded(case) for dec in decs}

@@ -22,6 +22,7 @@ from seprkit import (
     discover_pivots,
     matrix_from_document,
     parse_entry,
+    reduce_by,
     sepr_at_point,
     verify_paper_claims,
 )
@@ -95,27 +96,30 @@ def test_case_rule_on_the_four_nonzero_size9_minors(builtin_matrix, builtin_mino
         6: ("+", None, "+"),
     }
     for j, subset in zip((3, 4, 5, 6), SIZE9_SUBSETS):
-        dec = check_case_rule(builtin_minors.minor(subset.mask()), D, subset)
-        assert (dec.when_pos, dec.when_neg, dec.when_zero) == expected[j], j
+        dec = check_case_rule(builtin_minors.minor(subset.mask()), D, subset.mask())
+        assert dec.cases == expected[j], j
+        assert dec.mask == subset.mask()
         assert dec.identity_holds(D)
         assert dec.q * D + dec.r == dec.minor
     # the j=3 quotient is the positive monomial from the claim
     dec3 = check_case_rule(builtin_minors.minor(SIZE9_SUBSETS[0].mask()), D)
     assert str(dec3.q) == "a1*a2*a3*b8*c1*c2*c3"
     assert dec3.r.is_zero()
+    # outside a certificate a decomposition names no subset
+    assert dec3.mask == 0 and dec3.to_document()["subset"] is None
 
 
 def test_case_rule_constant_sign_shortcut(builtin_matrix, builtin_minors):
     D = pivot_poly(builtin_matrix.table)
     pos_minor = builtin_minors.minor(IndexSet.of([1, 7, 10], 12).mask())
     dec = check_case_rule(pos_minor, D)
-    assert (dec.when_pos, dec.when_neg, dec.when_zero) == ("+", "+", "+")
+    assert dec.cases == ("+", "+", "+")
     neg_minor = builtin_minors.minor(IndexSet.of([4, 9, 12], 12).mask())
     dec = check_case_rule(neg_minor, D)
-    assert (dec.when_pos, dec.when_neg, dec.when_zero) == ("-", "-", "-")
+    assert dec.cases == ("-", "-", "-")
     zero_minor = builtin_minors.minor(IndexSet.of([1, 2, 3], 12).mask())
     dec = check_case_rule(zero_minor, D)
-    assert (dec.when_pos, dec.when_neg, dec.when_zero) == ("0", "0", "0")
+    assert dec.cases == ("0", "0", "0")
 
 
 def test_case_rule_rejects_zero_pivot():
@@ -136,8 +140,7 @@ def test_case_rule_matches_the_sign_table():
             continue
         m = random_polynomial(rng, table) * D + random_polynomial(rng, table)
         got, want = check_case_rule(m, D), case_rule_reference(m, D)
-        assert (got.q, got.r, got.when_pos, got.when_neg, got.when_zero) == \
-            (want.q, want.r, want.when_pos, want.when_neg, want.when_zero)
+        assert (got.q, got.r, got.cases) == (want.q, want.r, want.cases)
         if m.coeff_sign_summary() is CoeffSignSummary.MIXED_SIGNS:
             seen.add((got.q.coeff_sign_summary(), got.r.coeff_sign_summary()))
     # every pair of summaries of q and r that a mixed m can have: q = 0
@@ -197,9 +200,31 @@ def test_certify_level_results_for_builtin_matrix(builtin_matrix, builtin_minors
     assert cert.pivot == pivot_poly(builtin_matrix.table)
     assert cert.guaranteed == full
     assert cert.verify_identities()
-    assert [dec.subset for dec in cert.decompositions] == SIZE9_SUBSETS
+    assert [dec.mask for dec in cert.decompositions] == [s.mask() for s in SIZE9_SUBSETS]
     # each non-0 guaranteed sign is concluded in every case
-    assert cert.signs_concluded_everywhere() >= frozenset("+-")
+    for signs in zip(*(dec.cases for dec in cert.decompositions)):
+        assert set(signs) >= set("+-")
+
+
+def test_a_won_level_divides_each_minor_by_the_pivot_once(
+        monkeypatch, builtin_matrix, builtin_minors):
+    # the decompositions that test the winning pivot are its certificate:
+    # one division per (mixed minor, candidate tried) and one per
+    # constant-sign minor, never a second pass over the mixed ones
+    constant = matrix_from_document(PIVOT_WITH_CONSTANT_MINORS)
+    constant_minors = all_principal_minors(constant)
+    calls = []
+
+    def counting_reduce_by(m, D):
+        calls.append((m, D))
+        return reduce_by(m, D)
+
+    monkeypatch.setattr("seprkit.certify.reduce_by", counting_reduce_by)
+    assert certify_level(builtin_matrix, 9, builtin_minors).method == METHOD_PIVOT
+    assert len(calls) == 4
+    calls.clear()
+    assert certify_level(constant, 3, constant_minors).method == METHOD_PIVOT
+    assert len(calls) == 34
 
 
 def test_certify_level_checks_the_order_before_enumerating(builtin_matrix, builtin_minors):

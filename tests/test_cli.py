@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through real subprocess invocations."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -215,6 +216,36 @@ def test_verify_is_byte_deterministic():
     assert first == second
     different_seed = run_cli("verify-paper", "--format", "json", "--seed", "1")
     assert different_seed[0] == 0  # still passes, witnesses may differ
+
+
+# sha256 of the text reports, recorded before the text renderer was made a
+# view of the JSON document; the JSON report's hash is in
+# perfbench/reference.json (test_acceptance.py)
+@pytest.mark.parametrize("args, digest", [
+    (["verify-paper"], "207f720e3e4c24d7c0f4ef419e70bcb5343ade178874f446009601d17bd4c8f8"),
+    (["verify-paper", "--budget", "1"],
+     "55c295cbe0021c605e8b8f39a6c491fce2a6119f2a2dafb502c856fb73c756cd"),
+    (["classify", "--k", "9"], "d48a30db08816eaec0078b6d002cbdb42dc45baebc6723c26903ea64ae49298e"),
+])
+def test_text_reports_match_their_recorded_hashes(args, digest):
+    proc = subprocess.run([sys.executable, "-m", "seprkit", *args],
+                          capture_output=True, timeout=120)
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_a_reader_that_closes_the_pipe_is_not_bad_input():
+    # classify prints far more than a pipe buffer holds, so it is still
+    # writing when the reader goes away after one line
+    proc = subprocess.Popen([sys.executable, "-m", "seprkit", "classify"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=120)
+    assert first == b"{1}  Zero\n"
+    assert b"error:" not in err and b"Traceback" not in err, err
+    assert code == 141
 
 
 # ------------------------------------------------------------ flag policing
