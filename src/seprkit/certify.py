@@ -71,8 +71,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 _CASE_KEYS = ("D>0", "D<0", "D=0")
 
-# Text report columns for a level row's class counts, in SignKind order.
-_COUNT_COLUMNS = (("zero", 5), ("pos", 4), ("neg", 4), ("mixed", 5), ("unres", 5))
+# Text report (label, width) of each kind's column of a level row's class counts.
+_COUNT_COLUMNS = {SignKind.ZERO: ("zero", 5), SignKind.POS: ("pos", 4), SignKind.NEG: ("neg", 4),
+                  SignKind.MIXED: ("mixed", 5), SignKind.UNRESOLVED: ("unres", 5)}
 
 _CONSTANT_SIGN = {
     CoeffSignSummary.ALL_ZERO: "0",
@@ -114,7 +115,7 @@ class CaseDecomposition:
         }
 
 
-def check_case_rule(m: Polynomial, D: Polynomial, mask: int = 0) -> CaseDecomposition:
+def check_case_rule(m: Polynomial, D: Polynomial) -> CaseDecomposition:
     """Divide m by the pivot and apply the sound sign rules case by case.
 
     With (q, r) = reduce_by(m, D), sign(x) is the sign that x's coefficients
@@ -130,7 +131,7 @@ def check_case_rule(m: Polynomial, D: Polynomial, mask: int = 0) -> CaseDecompos
     """
     if D.is_zero():
         raise ValueError("zero pivot")
-    return _decompose(m, _CONSTANT_SIGN.get(m.coeff_sign_summary()), D, mask)
+    return _decompose(m, _CONSTANT_SIGN.get(m.coeff_sign_summary()), D, 0)
 
 
 def _decompose(m: Polynomial, sign: str | None, D: Polynomial,
@@ -333,15 +334,15 @@ class VerificationReport:
     def render_text(self) -> str:
         """The text form of ``to_document()``, which is its only input."""
         doc = self.to_document()
+        columns = [(kind.value, *_COUNT_COLUMNS[kind]) for kind in SignKind]
         lines = [f"principal minor sign analysis: n={doc['n']} seed={doc['seed']} "
                  f"budget={doc['budget']}",
                  "",
                  f"{'k':>3}  {'guaranteed':<10}  {'method':<16}  "
-                 + " ".join(f"{label:>{width}}" for label, width in _COUNT_COLUMNS)]
+                 + " ".join(f"{label:>{width}}" for _, label, width in columns)]
         for row in doc["sepr"]:
-            guaranteed = "{" + ",".join(row["guaranteed"]) + "}"
-            counts = " ".join(f"{count:>{width}}" for count, (_, width)
-                              in zip(row["class_counts"].values(), _COUNT_COLUMNS))
+            guaranteed = format_sign_set(row["guaranteed"])
+            counts = " ".join(f"{row['class_counts'][key]:>{width}}" for key, _, width in columns)
             lines.append(f"{row['k']:>3}  {guaranteed:<10}  {row['method']:<16}  {counts}")
         for cert in doc["certificates"]:
             lines += ["", f"certificate for k={cert['k']}: pivot D = {cert['pivot']}"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from seprkit import (
@@ -286,7 +287,7 @@ def certificate_mismatches(certificate, points) -> list[str]:
     return problems
 
 
-def case_rule_reference(m: Polynomial, D: Polynomial, mask: int = 0) -> CaseDecomposition:
+def case_rule_reference(m: Polynomial, D: Polynomial) -> CaseDecomposition:
     """The case rules as an explicit table over the coefficient-sign
     summaries of m, q and r, with (q, r) = reduce_by(m, D)."""
     q, r = reduce_by(m, D)
@@ -294,7 +295,7 @@ def case_rule_reference(m: Polynomial, D: Polynomial, mask: int = 0) -> CaseDeco
                 CoeffSignSummary.ALL_NEGATIVE: "-"}
     fixed = constant.get(m.coeff_sign_summary())
     if fixed is not None:
-        return CaseDecomposition(mask, m, q, r, (fixed, fixed, fixed))
+        return CaseDecomposition(0, m, q, r, (fixed, fixed, fixed))
     sq, sr = q.coeff_sign_summary(), r.coeff_sign_summary()
     when_pos = when_neg = None
     if sq is CoeffSignSummary.ALL_POSITIVE:
@@ -307,7 +308,7 @@ def case_rule_reference(m: Polynomial, D: Polynomial, mask: int = 0) -> CaseDeco
             when_pos = "-"
         if sr in (CoeffSignSummary.ALL_POSITIVE, CoeffSignSummary.ALL_ZERO):
             when_neg = "+"
-    return CaseDecomposition(mask, m, q, r, (when_pos, when_neg, constant.get(sr)))
+    return CaseDecomposition(0, m, q, r, (when_pos, when_neg, constant.get(sr)))
 
 
 def certify_level_reference(matrix, k: int, minors) -> LevelCertification:
@@ -331,7 +332,7 @@ def certify_level_reference(matrix, k: int, minors) -> LevelCertification:
     nonzero = [(mask, minors.minor(mask)) for mask, s in summaries
                if s is not CoeffSignSummary.ALL_ZERO]
     for pivot in discover_pivots(mixed):
-        decs = tuple(case_rule_reference(m, pivot, mask) for mask, m in nonzero)
+        decs = tuple(replace(case_rule_reference(m, pivot), mask=mask) for mask, m in nonzero)
         provable = {"+", "-"}
         for case in ("D>0", "D<0", "D=0"):
             provable &= {dec.concluded(case) for dec in decs}
