@@ -138,7 +138,8 @@ def _decompose(m: Polynomial, sign: str | None, D: Polynomial,
                mask: int) -> CaseDecomposition:
     """``check_case_rule`` for a nonzero pivot D, given m's own sign(m)."""
     q, r = reduce_by(m, D)
-    if sign is not None:
+    # with q = 0, r = m and every case concludes sign(m), or nothing for None
+    if sign is not None or q.is_zero():
         return CaseDecomposition(mask, m, q, r, (sign, sign, sign))
     sq = _CONSTANT_SIGN.get(q.coeff_sign_summary())
     sr = _CONSTANT_SIGN.get(r.coeff_sign_summary())

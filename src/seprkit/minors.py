@@ -122,6 +122,7 @@ class MinorTable:
 
     def __init__(self, n: int, entries: dict[int, Polynomial], zero: Polynomial):
         self.n = n
+        self._limit = 1 << n
         self.entries = entries
         self.zero = zero
         self._by_order: list[list[tuple[int, Polynomial]]] = [[] for _ in range(n + 1)]
@@ -129,7 +130,7 @@ class MinorTable:
             self._by_order[mask.bit_count()].append((mask, m))
 
     def minor(self, mask: int) -> Polynomial:
-        if not 0 < mask < 1 << self.n:
+        if not 0 < mask < self._limit:
             raise KeyError(mask)
         return self.entries.get(mask, self.zero)
 

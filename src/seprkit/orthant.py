@@ -63,8 +63,18 @@ class Lcg64(object):
 
     def pairs(self, count: int) -> list[tuple[int, int]]:
         """The next ``count`` sample values u/v as unreduced (u, v) pairs,
-        u drawn before v, each by ``draw(1, 100)``."""
-        return [(self.draw(1, 100), self.draw(1, 100)) for _ in range(count)]
+        u drawn before v, each as ``draw(1, 100)`` would draw it; the
+        recurrence is inlined, as this is the sampler's inner loop."""
+        state, multiplier, increment, mask = \
+            self.state, self.MULTIPLIER, self.INCREMENT, self._MASK
+        pairs = []
+        for _ in range(count):
+            state = (state * multiplier + increment) & mask
+            u = 1 + (state >> 32) % 100
+            state = (state * multiplier + increment) & mask
+            pairs.append((u, 1 + (state >> 32) % 100))
+        self.state = state
+        return pairs
 
     def point(self, table: VariableTable) -> RationalPoint:
         """Strictly positive rational point, one u/v pair per variable in
@@ -140,9 +150,9 @@ def classify_polynomial(p: Polynomial, budget: int = DEFAULT_BUDGET,
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    summary = p.coeff_sign_summary()
-    if summary is CoeffSignSummary.ALL_ZERO:
+    if p.is_zero():
         return _ZERO
+    summary = p.coeff_sign_summary()
     if summary is CoeffSignSummary.ALL_POSITIVE:
         return _POS
     if summary is CoeffSignSummary.ALL_NEGATIVE:

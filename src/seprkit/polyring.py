@@ -15,8 +15,20 @@ key: ascending tuple order is descending term order, so canonical forms sort
 the tuples as they are and ``reduce_by`` pops the greatest pending monomial
 off a heap of them.  Product, divisibility, quotient, gcd and rendering of
 monomials are the private ``_mono_*`` functions below; apart from them only
-``Polynomial.variable``, ``constant``, ``degree``, ``_top_exponents`` and
-``_scaled_value`` read the layout.
+``Polynomial.variable``, ``constant``, ``degree``, ``_top_exponents``,
+``_scaled_value`` and ``_has_cancellable_term`` read the layout.
+
+Three shortcuts skip work whose result is known beforehand, and each gives
+the same polynomial as the general code:
+
+* a product with a one-term factor (a constant included) multiplies every
+  term by that term, and the order is multiplicative (m1 > m2 implies
+  t*m1 > t*m2), so the products come out distinct and already in order
+  and are not merged or sorted;
+* a polynomial whose monomial content is 1 is its own primitive part up to
+  sign, and the gcd scan stops once the content reaches 1;
+* ``reduce_by`` returns (0, m) when lead(D) divides no term of m (see
+  there), which is the common case in the pivot search.
 """
 
 from __future__ import annotations
@@ -169,10 +181,11 @@ def _mono_gcd(a: tuple, b: tuple) -> tuple:
                     for index, exp in zip(a[1::2], a[2::2]) if index in exps)
 
 
-def _mono_render(mono: tuple, table: VariableTable) -> str:
+def _mono_render(mono: tuple, names: Sequence[str]) -> str:
+    """The monomial as ``x*y^3``, ``names`` being the table's name list."""
     factors = []
     for k in range(1, len(mono), 2):
-        name = table.name(mono[k])
+        name = names[mono[k]]
         factors.append(name if mono[k + 1] == -1 else f"{name}^{-mono[k + 1]}")
     return "*".join(factors)
 
@@ -259,6 +272,16 @@ class Polynomial:
                     cleaned[mono] = coeff
         self.table = table
         self._terms = cleaned
+
+    @staticmethod
+    def _of_ordered(table: VariableTable, terms: dict[tuple, int]) -> "Polynomial":
+        """The polynomial of ``terms``, trusted to be in descending term order
+        with no zero coefficient already, so they are neither sorted nor
+        filtered again."""
+        p = Polynomial.__new__(Polynomial)
+        p.table = table
+        p._terms = terms
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -347,7 +370,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.table, {m: -c for m, c in self._terms.items()})
+        return Polynomial._of_ordered(self.table, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
         return self + (-self._coerce(other))
@@ -357,6 +380,12 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         other = self._coerce(other)
+        many, one = (other, self) if len(self._terms) == 1 else (self, other)
+        if len(one._terms) == 1:
+            # t*m1 > t*m2 whenever m1 > m2, so the terms stay in order
+            (mono, coeff), = one._terms.items()
+            return Polynomial._of_ordered(self.table, {
+                _mono_mul(m, mono): c * coeff for m, c in many._terms.items()})
         product: dict[tuple, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -454,6 +483,8 @@ class Polynomial:
         monos = iter(self._terms)
         content = next(monos)
         for mono in monos:
+            if content == (0,):
+                break
             content = _mono_gcd(content, mono)
         return content
 
@@ -461,6 +492,8 @@ class Polynomial:
         """The polynomial divided by its monomial content, sign-normalized so
         the leading coefficient is positive.  Integer content is kept."""
         content = self.monomial_content()
+        if content == (0,):
+            return self if self.leading_coefficient() > 0 else -self
         divided = Polynomial(self.table, {_mono_quotient(m, content): c for m, c in self._terms.items()})
         if divided.leading_coefficient() < 0:
             return -divided
@@ -471,15 +504,15 @@ class Polynomial:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        pieces = []
+        pieces, names = [], self.table._names
         for position, (mono, coeff) in enumerate(self._terms.items()):
             magnitude = abs(coeff)
             if mono == (0,):
                 core = str(magnitude)
             elif magnitude == 1:
-                core = _mono_render(mono, self.table)
+                core = _mono_render(mono, names)
             else:
-                core = f"{magnitude}*{_mono_render(mono, self.table)}"
+                core = f"{magnitude}*{_mono_render(mono, names)}"
             if position == 0:
                 pieces.append(f"-{core}" if coeff < 0 else core)
             else:
@@ -488,6 +521,18 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def _has_cancellable_term(m: Polynomial, lead_mono: tuple, lead_coeff: int) -> bool:
+    """True if lead_coeff*lead_mono divides a term of m in the integers."""
+    degree = lead_mono[0]  # negated, as in every monomial
+    for mono, coeff in m._terms.items():
+        if mono[0] > degree:
+            return False
+        if (mono == lead_mono if mono[0] == degree else _mono_divides(lead_mono, mono)) \
+                and coeff % lead_coeff == 0:
+            return True
+    return False
 
 
 def reduce_by(m: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -506,11 +551,21 @@ def reduce_by(m: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynomia
     whose monomial has since cancelled away is skipped when popped.  Every
     new monomial is below the one just popped, so a monomial never returns
     to the dict once it has been taken from it.
+
+    Until a term is cancelled nothing enters the dict, so the loop cancels
+    some term exactly when some term of m itself is cancellable.  When
+    none is, it moves every term of m to the remainder unchanged, and the
+    result is (0, m) without the heap: one scan of m decides that, and it
+    stops at the first term below lead(D)'s degree, since m's terms are
+    stored in descending order and lead(D) divides no monomial of lower
+    degree (of equal degree, only its own).
     """
     _check_tables(m.table, divisor.table)
     if divisor.is_zero():
         raise ValueError("zero divisor")
     lead_mono, lead_coeff = divisor.leading_term()
+    if not _has_cancellable_term(m, lead_mono, lead_coeff):
+        return Polynomial.zero(m.table), m
     tail = list(divisor.terms())[1:]
     quotient: dict[tuple, int] = {}
     remainder: dict[tuple, int] = {}

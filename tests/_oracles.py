@@ -157,6 +157,35 @@ def monomial_divides(a: tuple, b: tuple) -> bool:
     return all(exps.get(index, 0) >= exp for index, exp in exponents(a).items())
 
 
+def product_reference(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p*q term by term with ``monomial_product``, sorted by ``Polynomial``."""
+    terms = {}
+    for m1, c1 in p.terms():
+        for m2, c2 in q.terms():
+            mono = monomial_product(m1, m2)
+            terms[mono] = terms.get(mono, 0) + c1 * c2
+    return Polynomial(p.table, terms)
+
+
+def monomial_content_reference(p: Polynomial) -> tuple:
+    """The exponent-wise minimum over p's monomials, a variable missing from
+    one of them counting as exponent 0."""
+    decoded = [exponents(mono) for mono, _ in p.terms()]
+    return monomial({index: min(exps.get(index, 0) for exps in decoded)
+                     for index in decoded[0]})
+
+
+def primitive_part_reference(p: Polynomial) -> Polynomial:
+    """p divided termwise by ``monomial_content_reference(p)``, negated if
+    its leading coefficient is negative."""
+    content = exponents(monomial_content_reference(p))
+    terms = {monomial({index: exp - content.get(index, 0)
+                       for index, exp in exponents(mono).items()}): coeff
+             for mono, coeff in p.terms()}
+    sign = -1 if p.leading_coefficient() < 0 else 1
+    return Polynomial(p.table, {mono: sign * coeff for mono, coeff in terms.items()})
+
+
 def random_monomial(rng: random.Random, nvars: int, max_degree: int = 4) -> tuple:
     exps = {}
     for _ in range(rng.randint(0, max_degree)):

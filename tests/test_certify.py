@@ -1,9 +1,12 @@
 """Case-split certificates and the end-to-end claim verification."""
 
+import heapq
 import json
 import math
 import random
 import re
+import types
+from unittest import mock
 
 import pytest
 
@@ -44,6 +47,7 @@ from _oracles import (
     certify_level_reference,
     random_polynomial,
     random_positive_point,
+    reduce_by_reference,
     sign_str,
 )
 
@@ -119,6 +123,20 @@ def test_case_rule_constant_sign_shortcut(builtin_matrix, builtin_minors):
     zero_minor = builtin_minors.minor(IndexSet.of([1, 2, 3], 12).mask())
     dec = check_case_rule(zero_minor, D)
     assert dec.cases == ("0", "0", "0")
+
+
+def test_case_rule_quotient_zero_shortcut():
+    # q = 0 leaves r = m: the cases are m's own sign, read once, with no
+    # coefficient test of q or r
+    table = VariableTable(["x", "y", "z"])
+    x, y, z = (Polynomial.variable(table, name) for name in "xyz")
+    for m, sign in ((x * y - z, None), (y + z, "+"), (-y, "-")):
+        with mock.patch.object(Polynomial, "coeff_sign_summary", autospec=True,
+                               side_effect=Polynomial.coeff_sign_summary) as summary:
+            dec = check_case_rule(m, x * x - y)
+        assert (dec.q, dec.r, dec.cases) == (0, m, (sign,) * 3)
+        assert [call.args[0] for call in summary.call_args_list] == [m]
+        assert dec == case_rule_reference(m, x * x - y)
 
 
 def test_case_rule_rejects_zero_pivot():
@@ -224,6 +242,47 @@ def test_a_won_level_divides_each_minor_by_the_pivot_once(
     calls.clear()
     assert certify_level(constant, 3, constant_minors).method == METHOD_PIVOT
     assert len(calls) == 34
+
+
+def test_reduce_by_matches_the_reference_on_every_dense_minor_and_candidate():
+    # With a distinct variable in every entry, a candidate's leading
+    # monomial occurs in no minor on another subset, so most trial divisions
+    # cannot divide and take reduce_by's (0, m) shortcut; the minor's own
+    # candidate divides it exactly and takes the heap loop.
+    matrix = matrix_from_document(random_signed_document(random.Random(912), 5, 1.0))
+    minors = all_principal_minors(matrix)
+    taken = set()
+    for k in range(1, 6):
+        level = [m for _, m in minors.nonzero_of_order(k)]
+        for pivot in discover_pivots(level):
+            for m in level:
+                q, r = reduce_by(m, pivot)
+                assert (q, r) == reduce_by_reference(m, pivot)
+                taken.add(q.is_zero())
+    assert taken == {True, False}
+
+
+def test_a_dense_level_builds_a_heap_only_for_divisions_that_divide(monkeypatch):
+    matrix = matrix_from_document(random_signed_document(random.Random(913), 5, 1.0))
+    minors = all_principal_minors(matrix)
+    heaps, quotients = [], []
+
+    def counting_heapify(heap):
+        heaps.append(len(heap))
+        heapq.heapify(heap)
+
+    def recording_reduce_by(m, D):
+        q, r = reduce_by(m, D)
+        quotients.append(q)
+        return q, r
+
+    monkeypatch.setattr("seprkit.polyring.heapq", types.SimpleNamespace(
+        heapify=counting_heapify, heappop=heapq.heappop, heappush=heapq.heappush))
+    monkeypatch.setattr("seprkit.certify.reduce_by", recording_reduce_by)
+    certify_level(matrix, 3, minors)
+    dividing = [q for q in quotients if not q.is_zero()]
+    assert len(dividing) < len(quotients) // 2
+    assert len(heaps) == len(dividing) > 0
 
 
 def test_certify_level_checks_the_order_before_enumerating(builtin_matrix, builtin_minors):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 
@@ -58,15 +59,23 @@ def test_lcg_fraction_and_point():
     table = VariableTable(["x", "y", "z"])
     pairs = Lcg64(0).pairs(200)
     assert all(1 <= u <= 100 and 1 <= v <= 100 for u, v in pairs)
-    # u is drawn before v, each by draw(1, 100)
-    rng = Lcg64(0)
-    assert pairs[:2] == [(rng.draw(1, 100), rng.draw(1, 100)) for _ in range(2)]
     point = Lcg64(3).point(table)
     assert len(point.values) == 3
     assert point.is_strictly_positive()
     assert Lcg64(3).point(table) == point  # same seed, same point
     assert Lcg64(4).point(table) != point
     assert point.values == tuple(Fraction(u, v) for u, v in Lcg64(3).pairs(3))
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 2 ** 64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 36, 200])
+def test_lcg_pairs_are_draws_u_before_v(seed, count):
+    # pairs inlines the recurrence; it must draw exactly what draw(1, 100)
+    # draws, u before v, and leave the generator in the same state
+    rng, reference = Lcg64(seed), Lcg64(seed)
+    assert rng.pairs(count) == [(reference.draw(1, 100), reference.draw(1, 100))
+                                for _ in range(count)]
+    assert rng.state == reference.state
 
 
 def test_negative_and_huge_seeds_are_masked():
@@ -78,7 +87,9 @@ def test_negative_and_huge_seeds_are_masked():
 
 def test_classify_exact_cases():
     table = VariableTable(["a1", "a4", "b1", "b9", "c1", "c3"])
-    assert classify_polynomial(Polynomial.zero(table)).kind is SignKind.ZERO
+    # a zero minor, the common case, is decided before any coefficient test
+    with mock.patch.object(Polynomial, "coeff_sign_summary", side_effect=AssertionError):
+        assert classify_polynomial(Polynomial.zero(table)).kind is SignKind.ZERO
     assert classify_polynomial(poly("a1*b1*c1", table)).kind is SignKind.POS
     assert classify_polynomial(poly("-a4*b9*c3", table)).kind is SignKind.NEG
     # exact verdicts spend no sampling budget

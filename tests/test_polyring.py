@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -12,13 +13,17 @@ from seprkit import (
     VariableTable,
     reduce_by,
 )
+from seprkit import polyring
 from _oracles import (
     eval_reference,
     exponents,
     grlex_less,
     monomial,
+    monomial_content_reference,
     monomial_divides,
     monomial_product,
+    primitive_part_reference,
+    product_reference,
     random_monomial,
     random_polynomial,
     random_positive_point,
@@ -135,18 +140,30 @@ def test_monomial_render():
 PROPERTY_TABLE = VariableTable([f"x{i}" for i in range(6)])
 
 
+def _monomials(st):
+    return st.dictionaries(st.integers(0, 5), st.integers(1, 4), max_size=6).map(monomial)
+
+
+def _for_all(check, *strategies):
+    """Run ``check`` on values drawn by hypothesis from ``strategies(st)``."""
+    hypothesis = pytest.importorskip("hypothesis")
+    settings = hypothesis.settings(deadline=None, database=None)
+    st = hypothesis.strategies
+    settings(hypothesis.given(*(strategy(st) for strategy in strategies))(check))()
+
+
 def _for_all_monomials(count, check):
     """Run ``check`` on ``count`` monomials in six variables drawn by
     hypothesis."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    monomials = st.dictionaries(st.integers(0, 5), st.integers(1, 4), max_size=6).map(monomial)
-    settings = hypothesis.settings(deadline=None, database=None)
-    settings(hypothesis.given(*[monomials] * count)(check))()
+    _for_all(check, *[_monomials] * count)
 
 
-def _term(mono):
-    return term(PROPERTY_TABLE, mono)
+def _term(mono, coeff=1):
+    return term(PROPERTY_TABLE, mono, coeff)
+
+
+def _polynomial(terms):
+    return Polynomial(PROPERTY_TABLE, terms)
 
 
 def test_term_order_is_total_with_one_least():
@@ -195,6 +212,35 @@ def test_gcd_is_the_greatest_common_divisor():
         assert monomial_divides(c, g)
 
     _for_all_monomials(3, check)
+
+
+def test_one_term_products_keep_the_order():
+    # a one-term factor, constants and +-1 included, skips the merge and
+    # the sort: the product must still be the full one, in strict order
+    def polynomials(st):
+        return st.dictionaries(_monomials(st), st.integers(-9, 9), max_size=8).map(_polynomial)
+
+    def one_terms(st):
+        coefficients = st.sampled_from([1, -1]) | st.integers(-9, 9).filter(bool)
+        monomials = _monomials(st) | st.just(monomial({}))
+        return st.tuples(monomials, coefficients).map(lambda t: _term(*t))
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("a product with a one-term factor sorted its terms")
+
+    def check(p, t):
+        expected = product_reference(p, t)
+        with mock.patch.object(polyring, "sorted", no_sort, create=True):
+            products = [p * t, t * p]
+        if t.degree == 0:
+            products += [p * t.leading_coefficient(), t.leading_coefficient() * p]
+        for product in products:
+            assert product == expected
+            terms = list(product.terms())
+            assert all(coeff for _, coeff in terms)
+            assert all(grlex_less(low, high) for (high, _), (low, _) in zip(terms, terms[1:]))
+
+    _for_all(check, polynomials, one_terms)
 
 
 # ------------------------------------------------------------- ring axioms
@@ -310,6 +356,36 @@ def test_monomial_content_and_primitive_part():
     assert (a1 * a2).primitive_part() == 1
     with pytest.raises(ValueError):
         Polynomial.zero(table).monomial_content()
+
+
+def test_monomial_content_and_primitive_part_match_exponent_minima():
+    # content 1 returns the polynomial itself (up to sign) and stops the
+    # gcd scan early; a monomial factor makes the content other than 1
+    table = fresh_table()
+    rng = random.Random(302)
+    contents = set()
+    for _ in range(300):
+        p = random_polynomial(rng, table, max_terms=6)
+        if p.is_zero():
+            continue
+        if rng.random() < 0.5:
+            p = p * term(table, random_monomial(rng, len(table), 3))
+        with mock.patch.object(polyring, "_mono_gcd", wraps=polyring._mono_gcd) as gcd:
+            content = p.monomial_content()
+        assert content == monomial_content_reference(p)
+        # no gcd is taken once the content of the terms so far is 1
+        monos = [mono for mono, _ in p.terms()]
+        prefixes = [Polynomial(table, dict.fromkeys(monos[:end], 1))
+                    for end in range(1, len(monos) + 1)]
+        assert gcd.call_count == next(
+            (end for end, prefix in enumerate(prefixes)
+             if monomial_content_reference(prefix) == (0,)), len(monos) - 1)
+        primitive = p.primitive_part()
+        assert list(primitive.terms()) == list(primitive_part_reference(p).terms())
+        if content == (0,) and p.leading_coefficient() > 0:
+            assert primitive is p
+        contents.add((content == (0,), p.leading_coefficient() > 0))
+    assert contents == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # ------------------------------------------------------------------ points
