@@ -6,6 +6,21 @@ evaluations with strictly opposite signs, and everything else stays
 Unresolved.  All sampling is driven by a fixed 64-bit linear congruential
 generator so identical (polynomial, budget, seed) inputs reproduce identical
 verdicts and witnesses.
+
+Every classification with one seed starts the generator afresh, so sample j
+is the same point for every polynomial over a table.  The samples are
+therefore drawn once per (table, seed, table length) into a stream kept on
+the table (``_stream_of``), the first time any polynomial reaches them, and
+every polynomial of the table reads them from there.  A table keeps one
+stream, that of the last seed and length it was sampled at, so calls that
+alternate seeds over one table draw afresh each time.  A sample that becomes
+a witness builds its Fraction values once, shared by every witness point it
+gives.  The stream holds only ints and Fractions, so it is freed with its
+table.  It stores at most ``_STORED_SAMPLES`` samples whatever the budget:
+a polynomial that needs more continues the generator from the last stored
+state without storing.  Threads may share a stream (see ``_SampleStream``).
+Each polynomial keeps its own early-exit loop over the stream, so verdicts
+and witnesses are exactly those of a fresh ``Lcg64(seed)`` per call.
 """
 
 from __future__ import annotations
@@ -79,11 +94,78 @@ class Lcg64(object):
     def point(self, table: VariableTable) -> RationalPoint:
         """Strictly positive rational point, one u/v pair per variable in
         declaration order."""
-        return _point_of(table, self.pairs(len(table)))
+        return RationalPoint(table, tuple(Fraction(u, v) for u, v in self.pairs(len(table))))
 
 
-def _point_of(table: VariableTable, pairs: Sequence[tuple[int, int]]) -> RationalPoint:
-    return RationalPoint(table, tuple(Fraction(u, v) for u, v in pairs))
+# Samples a stream stores, under 1 KB each at 36 variables; a caller that
+# needs more continues the generator from the last stored state, storing
+# nothing, so a stream stays this small whatever the budget.
+_STORED_SAMPLES = 256
+
+
+class _SampleStream:
+    """The samples ``Lcg64(seed)`` draws for a table of ``n`` variables,
+    each drawn once and read by every polynomial classified over the table
+    with that seed.  It holds only ints and Fractions, no reference to the
+    table.
+
+    Sample j is stored as (us, vs, state): the u and v lists of the point
+    ``Lcg64.point`` would draw j-th, and the generator state after it.
+    Each reader draws a missing sample j from sample j - 1's stored state
+    with a generator of its own, so no generator is shared between threads:
+    threads that reach sample j together draw equal values, and
+    ``setdefault`` stores one of them.
+    """
+
+    __slots__ = ("key", "_samples", "_values")
+
+    def __init__(self, key: tuple[int, int]) -> None:
+        self.key = key  # (seed masked to 64 bits, n)
+        self._samples: dict[int, tuple[list[int], list[int], int]] = {}
+        # j -> sample j's Fraction values, built when it first witnesses
+        self._values: dict[int, tuple[Fraction, ...]] = {}
+
+    def samples(self) -> Iterator[tuple[list[int], list[int], int]]:
+        """Samples 0, 1, 2, ... without end, drawn as they are reached."""
+        state, n = self.key
+        samples = self._samples
+        for j in range(_STORED_SAMPLES):
+            sample = samples.get(j)
+            if sample is None:
+                sample = samples.setdefault(j, _draw(Lcg64(state), n))
+            yield sample
+            state = sample[2]
+        rng = Lcg64(state)
+        while True:
+            yield _draw(rng, n)
+
+    def point(self, table: VariableTable, j: int, us: list[int],
+              vs: list[int]) -> RationalPoint:
+        """Sample j, read off ``samples()`` as us, vs, as a point of
+        ``table``; its values are built once and shared by every witness
+        that is sample j."""
+        values = self._values.get(j)
+        if values is None:
+            values = tuple(map(Fraction, us, vs))
+            if j < _STORED_SAMPLES:
+                values = self._values.setdefault(j, values)
+        return RationalPoint(table, values)
+
+
+def _draw(rng: Lcg64, n: int) -> tuple[list[int], list[int], int]:
+    pairs = rng.pairs(n)
+    return [u for u, _ in pairs], [v for _, v in pairs], rng.state
+
+
+def _stream_of(table: VariableTable, seed: int) -> _SampleStream:
+    """The table's stream for ``seed``.  A table keeps the stream of the
+    last seed and length it was sampled at: seeds equal mod 2^64 draw
+    alike, and a table that has since grown draws longer points."""
+    key = (seed & Lcg64._MASK, len(table))
+    stream = table._sample_stream
+    if stream is None or stream.key != key:
+        stream = table._sample_stream = _SampleStream(key)
+    return stream
 
 
 def sign_of(value: Fraction) -> str:
@@ -143,10 +225,15 @@ def classify_polynomial(p: Polynomial, budget: int = DEFAULT_BUDGET,
     Mixed, anything less stays Unresolved.  Zero evaluations consume budget
     but witness nothing.
 
-    Each sample draws the (u, v) pairs of ``Lcg64.point`` and reads its sign
-    off the integer numerator of p's value over a positive denominator, so
-    the loop builds no Fraction; only the two witnesses become points, equal
-    to the ones ``Lcg64.point`` would have drawn.
+    Sample j is the (u, v) pairs the j-th ``Lcg64(seed).point`` call would
+    draw, read from the table's shared stream (see the module docstring):
+    drawn once per (table, seed), at most ``_STORED_SAMPLES`` of them stored.
+    p is compiled once into per-term index getters and each sample's sign
+    is read off the integer numerator of p's value over a positive
+    denominator, so the loop builds no Fraction.  Only the two witnesses
+    become points, equal to the ones ``Lcg64.point`` would have drawn; their
+    values are built once per sample and shared with every other polynomial
+    that sample witnesses for.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -157,18 +244,18 @@ def classify_polynomial(p: Polynomial, budget: int = DEFAULT_BUDGET,
         return _POS
     if summary is CoeffSignSummary.ALL_NEGATIVE:
         return _NEG
-    rng, table = Lcg64(seed), p.table
-    top = p._top_exponents()
+    table = p.table
+    stream = _stream_of(table, seed)
+    numerator_of = p._numerator_of_samples()
     pos = neg = None
-    for _ in range(budget):
-        pairs = rng.pairs(len(table))
-        numerator = p._scaled_value(top, pairs)[0]
+    for j, (us, vs, _) in zip(range(budget), stream.samples()):
+        numerator = numerator_of(us, vs)
         if numerator > 0:
             if pos is None:
-                pos = _point_of(table, pairs)
+                pos = stream.point(table, j, us, vs)
         elif numerator < 0:
             if neg is None:
-                neg = _point_of(table, pairs)
+                neg = stream.point(table, j, us, vs)
         if pos is not None and neg is not None:
             return SignClass(SignKind.MIXED, pos_witness=pos, neg_witness=neg)
     return SignClass(SignKind.UNRESOLVED, pos_witness=pos, neg_witness=neg)

@@ -14,9 +14,12 @@ positive exponents, stored negated; ``(0,)`` is 1.  The tuple is its own sort
 key: ascending tuple order is descending term order, so canonical forms sort
 the tuples as they are and ``reduce_by`` pops the greatest pending monomial
 off a heap of them.  Product, divisibility, quotient, gcd and rendering of
-monomials are the private ``_mono_*`` functions below; apart from them only
+monomials are the private ``_mono_*`` functions below, and ``_mono_indices``
+lists a monomial's variable indices with repetition for the compiled
+evaluator ``_numerator_of_samples``; apart from them only
 ``Polynomial.variable``, ``constant``, ``degree``, ``_top_exponents``,
-``_scaled_value`` and ``_has_cancellable_term`` read the layout.
+``_scaled_value``, ``_numerator_of_samples`` and ``_has_cancellable_term``
+read the layout.
 
 Three shortcuts skip work whose result is known beforehand, and each gives
 the same polynomial as the general code:
@@ -38,7 +41,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from math import prod
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "VariableTable",
@@ -64,6 +69,9 @@ class VariableTable:
     def __init__(self, names: Iterable[str] = ()) -> None:
         self._names: list[str] = []
         self._index: dict[str, int] = {}
+        # The orthant sampler's draws for this table (``orthant._stream_of``);
+        # they hold no reference back to the table, so they die with it.
+        self._sample_stream = None
         for name in names:
             self.add(name)
 
@@ -179,6 +187,26 @@ def _mono_gcd(a: tuple, b: tuple) -> tuple:
     exps = dict(zip(b[1::2], b[2::2]))
     return _mono_of((index, max(exp, exps[index]))
                     for index, exp in zip(a[1::2], a[2::2]) if index in exps)
+
+
+def _mono_indices(mono: tuple) -> tuple[int, ...]:
+    """The variable indices of the monomial, each repeated as often as its
+    exponent; a monomial whose degree equals its number of variables is
+    multilinear, so they are its index fields as they stand."""
+    if -mono[0] == len(mono) >> 1:
+        return mono[1::2]
+    return tuple(index for index, exp in zip(mono[1::2], mono[2::2]) for _ in range(-exp))
+
+
+def _index_getter(indices: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
+    """A function picking ``indices`` out of a sequence, always as a
+    sequence: ``itemgetter`` of one index returns the item itself, so fewer
+    than two indices are picked by a slice."""
+    if len(indices) >= 2:
+        return itemgetter(*indices)
+    if indices:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(slice(0, 0))
 
 
 def _mono_render(mono: tuple, names: Sequence[str]) -> str:
@@ -439,9 +467,9 @@ class Polynomial:
 
         With D_i the top exponent of variable i, every term is an integer
         multiple of 1/Q for Q = prod v_i^D_i > 0, so N is a sum of integers
-        and carries the sign of the value.  ``eval_at`` and the orthant
-        sampler both evaluate here; the sampler computes ``top`` once per
-        polynomial and reads the sign off N without building a Fraction.
+        and carries the sign of the value.  ``eval_at`` evaluates here, once
+        per point; the orthant sampler, which evaluates one polynomial at
+        many points, computes the same N through ``_numerator_of_samples``.
         """
         powers: dict[int, tuple[list[int], list[int]]] = {}
         common = 1
@@ -463,6 +491,34 @@ class Polynomial:
                 den *= den_pows[exp]
             total += num * (common // den)
         return total, common
+
+    def _numerator_of_samples(self) -> Callable[[Sequence[int], Sequence[int]], int]:
+        """A function of (us, vs) giving the numerator N of
+        ``_scaled_value(top, values)``, where variable i takes us[i]/vs[i]
+        with vs[i] > 0: the same integer, so the same sign.
+
+        The terms are compiled once into (coefficient, getter) pairs, the
+        getter picking each variable's index as often as its exponent, so a
+        sample reads every term as ``c * prod(g(us)) * (Q // prod(g(vs)))``
+        without walking the monomial tuple; Q = prod v_i^D_i is picked the
+        same way.  Compiling walks every term once, so it pays only for
+        repeated evaluation: the orthant sampler compiles once per
+        polynomial, while ``eval_at``, once per point, keeps
+        ``_scaled_value``.
+        """
+        terms = [(coeff, _index_getter(_mono_indices(mono)))
+                 for mono, coeff in self._terms.items()]
+        common_of = _index_getter([index for index, top_exp in self._top_exponents().items()
+                                   for _ in range(top_exp)])
+
+        def numerator(us: Sequence[int], vs: Sequence[int]) -> int:
+            common = prod(common_of(vs))
+            total = 0
+            for coeff, of in terms:
+                total += coeff * prod(of(us)) * (common // prod(of(vs)))
+            return total
+
+        return numerator
 
     def coeff_sign_summary(self) -> CoeffSignSummary:
         """Sound constant-sign certificate: all-positive coefficients force a

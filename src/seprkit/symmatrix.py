@@ -145,7 +145,7 @@ def matrix_to_document(matrix: SymMatrix) -> dict:
 
 def load_matrix(path: "str | Path") -> SymMatrix:
     try:
-        document = json.loads(Path(path).read_text())
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
     return matrix_from_document(document)

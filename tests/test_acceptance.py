@@ -207,5 +207,5 @@ def test_criterion_7_cli_determinism(tmp_path):
         document = json.loads(first.stdout)
         assert document["overall"] == "PASS"
         reference = Path(__file__).parents[1] / "perfbench" / "reference.json"
-        recorded = json.loads(reference.read_text())["builtin:verify-paper-json"]
+        recorded = json.loads(reference.read_text(encoding="utf-8"))["builtin:verify-paper-json"]
         assert hashlib.sha256(first.stdout).hexdigest() == recorded

@@ -15,7 +15,7 @@ EXPECTED_SEQUENCE = "{0} {0} {0,+,-} {0} {0} {0,+,-} {0} {0} {0,+,-} {0} {0} {0}
 def run_cli(*args, timeout=120):
     proc = subprocess.run(
         [sys.executable, "-m", "seprkit", *args],
-        capture_output=True, text=True, timeout=timeout,
+        capture_output=True, encoding="utf-8", timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -23,7 +23,7 @@ def run_cli(*args, timeout=120):
 @pytest.fixture(scope="module")
 def matrix_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "m12.json"
-    path.write_text(json.dumps(PAPER_MATRIX_DOCUMENT))
+    path.write_text(json.dumps(PAPER_MATRIX_DOCUMENT), encoding="utf-8")
     return str(path)
 
 
@@ -73,7 +73,7 @@ def test_sepr_with_assignment_file(tmp_path, matrix_file):
     assignment["b1"] = 7          # plain integers are accepted too
     assignment["b4"] = "1/14"
     path = tmp_path / "point.json"
-    path.write_text(json.dumps(assignment))
+    path.write_text(json.dumps(assignment), encoding="utf-8")
     code, out, _ = run_cli("sepr", "--matrix", matrix_file, "--assign", str(path))
     assert code == 0
     # a generic positive point realizes the same sequence
@@ -82,7 +82,7 @@ def test_sepr_with_assignment_file(tmp_path, matrix_file):
 
 def test_sepr_one_by_one_zero_matrix(tmp_path):
     path = tmp_path / "z.json"
-    path.write_text(json.dumps({"n": 1, "variables": [], "entries": [["0"]]}))
+    path.write_text(json.dumps({"n": 1, "variables": [], "entries": [["0"]]}), encoding="utf-8")
     code, out, _ = run_cli("sepr", "--matrix", str(path), "--all-ones")
     assert code == 0
     assert out.strip() == "{0}"
@@ -107,7 +107,7 @@ def test_sepr_rejects_bad_assignments(tmp_path, patch):
         else:
             assignment[key] = value
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(assignment))
+    path.write_text(json.dumps(assignment), encoding="utf-8")
     code, _, err = run_cli("sepr", "--assign", str(path))
     assert code == 3
     assert err.startswith("error:")
@@ -122,7 +122,7 @@ def test_sepr_assignment_errors_name_the_variable(tmp_path, value, message):
     assignment = {name: "1" for name in PAPER_MATRIX_DOCUMENT["variables"]}
     assignment["a1"] = value
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(assignment))
+    path.write_text(json.dumps(assignment), encoding="utf-8")
     code, _, err = run_cli("sepr", "--assign", str(path))
     assert (code, err) == (3, message + "\n")
 
@@ -207,7 +207,7 @@ def test_verify_output_flag_writes_file(tmp_path):
                            "--output", str(target))
     assert code == 0
     assert out == ""
-    assert json.loads(target.read_text())["overall"] == "PASS"
+    assert json.loads(target.read_text(encoding="utf-8"))["overall"] == "PASS"
 
 
 def test_verify_is_byte_deterministic():
@@ -266,7 +266,7 @@ def test_invalid_flags_exit_three():
 ])
 def test_hostile_exponent_in_matrix_file_exits_three(tmp_path, entry, message):
     path = tmp_path / "hostile.json"
-    path.write_text(json.dumps({"n": 1, "entries": [[entry]]}))
+    path.write_text(json.dumps({"n": 1, "entries": [[entry]]}), encoding="utf-8")
     code, _, err = run_cli("det", "--matrix", str(path), "--subset", "1", timeout=30)
     assert code == 3
     assert message in err
@@ -281,7 +281,7 @@ def test_hostile_exponent_in_matrix_file_exits_three(tmp_path, entry, message):
 ])
 def test_malformed_matrix_document_exits_three(tmp_path, document, message):
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(document))
+    path.write_text(json.dumps(document), encoding="utf-8")
     code, _, err = run_cli("det", "--matrix", str(path), "--subset", "1")
     assert code == 3
     assert message in err

@@ -1,6 +1,10 @@
 """Seeded sampling, sign classification, and point sepr-sequences."""
 
+import gc
 import random
+import sys
+import threading
+import weakref
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -17,13 +21,15 @@ from seprkit import (
     SignKind,
     SymMatrix,
     VariableTable,
+    all_principal_minors,
+    analyze,
     classify_polynomial,
     format_sign_set,
     matrix_from_document,
     minor_values_at,
     sepr_at_point,
 )
-from seprkit.orthant import sign_of
+from seprkit.orthant import _STORED_SAMPLES, sign_of
 from _oracles import classify_reference, leibniz_det, monomial, principal_subgrid, sign_str
 
 S = frozenset
@@ -188,12 +194,186 @@ def test_classify_matches_the_witness_stream_oracle():
                         ("unresolved", False, True), ("unresolved", False, False)}
 
 
+def test_classify_on_shared_tables_matches_the_witness_stream_oracle():
+    # polynomials over a few tables, classified in interleaved order with
+    # interleaved seeds, read one shared sample stream per (table, seed);
+    # every verdict must still be the oracle's fresh generator per call,
+    # also past the stored samples and after a table gains a variable
+    rng = random.Random(2626)
+    seeds = [0, -1, 2 ** 64 - 1, rng.getrandbits(64)]
+    past_bound = _STORED_SAMPLES + 20
+    tables = [VariableTable([f"x{i}" for i in range(n)]) for n in (3, 6, 9)]
+
+    def cases_over(table, count):
+        cases = []
+        for trial in range(count):
+            never_negative = trial % 3 == 0
+            budget = past_bound if trial % 6 == 0 else rng.choice([1, 2, 40])
+            cases += [(sampled_polynomial(rng, table, never_negative), budget, seed,
+                       never_negative) for seed in rng.sample(seeds, 2)]
+        return cases
+
+    def check(p, budget, seed, never_negative):
+        verdict = classify_polynomial(p, budget=budget, seed=seed)
+        kind, pos, neg = classify_reference(p, budget, seed)
+        assert verdict.kind.value == kind, p
+        assert (verdict.pos_witness, verdict.neg_witness) == (pos, neg), p
+        assert [w and w.render() for w in (verdict.pos_witness, verdict.neg_witness)] == \
+            [w and w.render() for w in (pos, neg)]
+        stored = len(p.table._sample_stream._samples)
+        if never_negative:
+            assert neg is None
+            if budget == past_bound:
+                # the loop ran past the stored samples without storing more
+                assert stored == _STORED_SAMPLES
+        assert stored <= _STORED_SAMPLES
+        return kind
+
+    cases = [case for table in tables for case in cases_over(table, 12)]
+    # negative only at one sample past the stored ones: the loop must go on
+    # drawing where the stream stopped
+    late = VariableTable(["y0", "y1"])
+    y0, y1 = Polynomial.variable(late, "y0"), Polynomial.variable(late, "y1")
+    for seed in seeds:
+        generator = Lcg64(seed)
+        drawn = [tuple(Fraction(u, v) for u, v in generator.pairs(2)) for _ in range(past_bound)]
+        a, b = next(drawn[j] for j in range(_STORED_SAMPLES, past_bound)
+                    if drawn[j] not in drawn[:j])
+        # 10^5 * (squared distance to (a, b), times denominators) - 1 is
+        # at least 10 - 1 at every other sample
+        p = 10 ** 5 * ((a.denominator * y0 - a.numerator) ** 2
+                       + (b.denominator * y1 - b.numerator) ** 2) - 1
+        assert classify_reference(p, past_bound, seed)[0] == "mixed"
+        cases.append((p, past_bound, seed, False))
+    rng.shuffle(cases)
+    kinds = {check(*case) for case in cases}
+    # a table that gains a variable draws longer points from then on, for
+    # its old polynomials and its new ones alike
+    grown = tables[1]
+    old = [case for case in cases if case[0].table is grown]
+    grown.add("late")
+    later = old + cases_over(grown, 6)
+    assert any("late" in str(case[0]) for case in later)
+    rng.shuffle(later)
+    kinds |= {check(*case) for case in later}
+    assert kinds == {"mixed", "unresolved"}
+
+
 def test_size_nine_primitive_pivot_polynomial_takes_both_signs():
     table = VariableTable(["b1", "b2", "b3", "b4"])
     p = poly("b1*b4 - b2*b3", table)
     verdict = classify_polynomial(p)
     assert verdict.kind is SignKind.MIXED
     assert p.eval_at(verdict.pos_witness) > 0 > p.eval_at(verdict.neg_witness)
+
+
+def dense_document(rng, n):
+    """Every entry a distinct, independently signed variable."""
+    names = [f"x{i}" for i in range(n * n)]
+    entries = [[("-" if rng.random() < 0.5 else "") + names[i * n + j] for j in range(n)]
+               for i in range(n)]
+    return {"n": n, "variables": names, "entries": entries}
+
+
+def samples_used(p, budget, seed):
+    """How many samples a fresh generator per call draws for p: up to its
+    first sample of each sign, or the whole budget."""
+    rng = Lcg64(seed)
+    signs = set()
+    for j in range(budget):
+        signs.add(sign_of(p.eval_at(rng.point(p.table))))
+        if {"+", "-"} <= signs:
+            return j + 1
+    return budget
+
+
+def test_one_analysis_draws_each_sample_once():
+    matrix = matrix_from_document(dense_document(random.Random(606), 6))
+    original = Lcg64.pairs
+    with mock.patch.object(Lcg64, "pairs", autospec=True, side_effect=original) as pairs:
+        report = analyze(matrix, seed=3)
+    sampled = [minor for minor in report.minors.entries.values()
+               if minor.coeff_sign_summary() is CoeffSignSummary.MIXED_SIGNS]
+    used = [samples_used(minor, 1000, 3) for minor in sampled]
+    assert len(sampled) > 30 and sum(used) > 2 * max(used)
+    # one draw of all 36 variables per sample, each drawn by the first
+    # minor that needs it
+    assert pairs.call_count == max(used)
+    assert {call.args[1] for call in pairs.call_args_list} == {36}
+
+
+def test_the_sample_stream_dies_with_its_table():
+    # the stream lives on the table and holds nothing that refers back to
+    # it, so the table, its points and its minors are freed together
+    matrix = matrix_from_document(dense_document(random.Random(7), 5))
+    report = analyze(matrix)
+    assert any(verdict.kind is SignKind.MIXED for verdict in report.classes.values())
+    table = matrix.table
+    assert table._sample_stream is not None
+    freed = weakref.ref(table)
+    del matrix, table, report
+    gc.collect()
+    assert freed() is None
+
+
+def test_threads_sharing_a_table_classify_as_one_thread_does():
+    # eight threads extend one table's stream at once, under two seeds that
+    # keep replacing each other's stream; a sample drawn twice from one
+    # generator state, stored at the wrong index or read from the wrong
+    # seed's stream would change a witness
+    document = dense_document(random.Random(99), 5)
+    seeds = (0, 5)
+
+    def work_of(matrix):
+        minors = [minor for minor in all_principal_minors(matrix).entries.values()
+                  if minor.coeff_sign_summary() is CoeffSignSummary.MIXED_SIGNS]
+        # a never-negative polynomial runs its whole budget, past the
+        # stored samples
+        return minors + [minors[0] * minors[0]]
+
+    def verdicts(polys, seed, order):
+        found = {}
+        for i in order:
+            verdict = classify_polynomial(polys[i], budget=_STORED_SAMPLES + 10, seed=seed)
+            found[i] = (verdict.kind, *(w and w.values for w in
+                                        (verdict.pos_witness, verdict.neg_witness)))
+        return found
+
+    reference = {}
+    for seed in seeds:
+        polys = work_of(matrix_from_document(document))
+        reference[seed] = verdicts(polys, seed, range(len(polys)))
+    assert {found[0] for found in reference[0].values()} == {SignKind.MIXED, SignKind.UNRESOLVED}
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(3):
+            polys = work_of(matrix_from_document(document))
+            start = threading.Barrier(8)
+            results, errors = {}, []
+
+            def run(worker):
+                try:
+                    order = list(range(len(polys)))
+                    random.Random(round_ * 8 + worker).shuffle(order)
+                    start.wait(timeout=30)
+                    seed = seeds[worker % 2]
+                    results[worker] = (seed, verdicts(polys, seed, order))
+                except Exception as exc:  # reported by the main thread
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run, args=(worker,)) for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert errors == []
+            assert sorted(results) == list(range(8))
+            for seed, found in results.values():
+                assert found == reference[seed]
+    finally:
+        sys.setswitchinterval(previous)
 
 
 # ------------------------------------------------------------ sepr at point

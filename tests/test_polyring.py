@@ -304,6 +304,35 @@ def test_evaluation_is_a_ring_homomorphism():
         var(table, "a2").eval_at(partial)
 
 
+def test_compiled_numerator_is_the_scaled_value_numerator():
+    # the sampler's compiled evaluator must give _scaled_value's integer N,
+    # with N/Q the exact value, for constant, one-variable, multilinear and
+    # higher-power terms alike
+    table = fresh_table()
+    rng = random.Random(4242)
+    polys = [Polynomial.zero(table), Polynomial.constant(table, -3),
+             var(table, "a1") - 2, var(table, "a1") * var(table, "b2") - var(table, "b4")]
+    polys += [random_polynomial(rng, table, max_terms=6) for _ in range(60)]
+    polys += [random_polynomial(rng, table, max_degree=1) * random_polynomial(rng, table)
+              for _ in range(20)]
+    multilinear = powers = 0
+    for p in polys:
+        numerator = p._numerator_of_samples()
+        top = p._top_exponents()
+        for hi in (1, 100, 10 ** 9):
+            us = [rng.randint(1, hi) for _ in table]
+            vs = [rng.randint(1, hi) for _ in table]
+            expected, common = p._scaled_value(top, list(zip(us, vs)))
+            assert numerator(us, vs) == expected, p
+            point = RationalPoint(table, tuple(map(Fraction, us, vs)))
+            assert Fraction(expected, common) == eval_reference(p, point)
+        if max(top.values(), default=1) == 1:
+            multilinear += 1
+        else:
+            powers += 1
+    assert multilinear > 10 and powers > 10
+
+
 # ----------------------------------------------------------- canonical form
 
 

@@ -18,7 +18,7 @@ sys.path.insert(0, str(PERFBENCH))
 import corpus  # noqa: E402
 import ops  # noqa: E402
 
-REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
 SPARSE_ITEMS = [f"{family}-{n}-{index}" for (family, n), size in corpus.POOL.items()
                 if family == "sparse" for index in range(size)]
 

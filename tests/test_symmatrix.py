@@ -75,10 +75,10 @@ def test_document_round_trip(tmp_path):
     m = matrix_from_document(doc)
     assert matrix_to_document(m) == doc
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(matrix_to_document(m)))
+    path.write_text(json.dumps(matrix_to_document(m)), encoding="utf-8")
     assert load_matrix(path) == m
     # saved file is plain JSON
-    reparsed = json.loads(path.read_text())
+    reparsed = json.loads(path.read_text(encoding="utf-8"))
     assert reparsed["n"] == 2
 
 
@@ -121,7 +121,7 @@ def test_entry_syntax_error_reports_row_column_and_offset():
 
 def test_load_matrix_rejects_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_text("{not json", encoding="utf-8")
     with pytest.raises(MatrixFormatError, match="invalid JSON"):
         load_matrix(path)
 
@@ -153,6 +153,6 @@ def test_builtin_matrix_nonzero_pattern(builtin_matrix):
 
 
 def test_bundled_fixture_matches_in_code_document():
-    raw = resources.files("seprkit").joinpath("data/paper12.json").read_text()
+    raw = resources.files("seprkit").joinpath("data/paper12.json").read_text(encoding="utf-8")
     assert json.loads(raw) == PAPER_MATRIX_DOCUMENT
     assert matrix_from_document(json.loads(raw)) == paper_matrix()
