@@ -13,6 +13,8 @@ point):
   drawn from sound coefficient rules.  A sign concluded in all three cases
   holds at every positive point, because each point lands in exactly one
   case.  The winning test's decompositions are kept in the certificate.
+  A test divides a minor only where the result is not known beforehand
+  (see ``certify_level``).
 
 ``analyze`` runs the pipeline on any square matrix, assuming no answer;
 ``check_expected`` checks it against an expected sepr-sequence given as
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .minors import MinorTable, all_principal_minors
 from .orthant import (
@@ -34,7 +36,8 @@ from .orthant import (
     classify_polynomial,
     format_sign_set,
 )
-from .polyring import CoeffSignSummary, Polynomial, reduce_by
+from .polyring import (CoeffSignSummary, Polynomial, _has_cancellable_term, _mono_quotient,
+                       reduce_by)
 from .symmatrix import PAPER_MATRIX_DOCUMENT, IndexSet, SymMatrix, paper_matrix
 
 __all__ = [
@@ -198,17 +201,46 @@ def _sign_list(signs: frozenset) -> list[str]:
 
 def discover_pivots(minors: Sequence[Polynomial]) -> list[Polynomial]:
     """Candidate pivots: deduplicated primitive parts of the mixed-coefficient
-    polynomials among ``minors``, constants excluded, sorted by rendered text
-    so the search order is canonical."""
-    seen: dict[str, Polynomial] = {}
-    for m in minors:
-        if m.coeff_sign_summary() is not CoeffSignSummary.MIXED_SIGNS:
-            continue
+    polynomials among ``minors`` (never constants, as a mixed polynomial has
+    two terms), sorted by rendered text so the search order is canonical."""
+    mixed = [m for m in minors if m.coeff_sign_summary() is CoeffSignSummary.MIXED_SIGNS]
+    return [pivot for pivot, _ in _candidates(enumerate(mixed))]
+
+
+def _candidates(mixed: Iterable[tuple[int, Polynomial]]) -> list[tuple[Polynomial, list[int]]]:
+    """(candidate, keys of its owners) for the (key, mixed minor) pairs, in
+    ``discover_pivots`` order; an owner is a minor whose primitive part is
+    the candidate.  Every later piece of ``str(p)`` starts with a space,
+    which sorts below any character of a term, so distinct leading-term
+    texts sort as the full texts do: a candidate is rendered in full only
+    to break a tie."""
+    groups: dict[str, list[tuple[Polynomial, list[int]]]] = {}
+    for key, m in mixed:
         candidate = m.primitive_part()
-        if candidate.degree < 1:
-            continue
-        seen.setdefault(str(candidate), candidate)
-    return [seen[key] for key in sorted(seen)]
+        lead_mono, lead_coeff = candidate.leading_term()
+        lead = str(Polynomial._of_ordered(m.table, {lead_mono: lead_coeff}))
+        group = groups.setdefault(lead, [])
+        for known, owners in group:
+            if known == candidate:
+                owners.append(key)
+                break
+        else:
+            group.append((candidate, [key]))
+    ordered = []
+    for lead in sorted(groups):
+        ordered += sorted(groups[lead], key=lambda entry: str(entry[0])) \
+            if len(groups[lead]) > 1 else groups[lead]
+    return ordered
+
+
+def _owner_decomposition(m: Polynomial, pivot: Polynomial, mask: int) -> CaseDecomposition:
+    """``_decompose`` of an owner m = s*c*D of the pivot, c its monomial
+    content and s its leading sign: q = s*c and r = 0."""
+    s = 1 if m.leading_coefficient() > 0 else -1
+    q = Polynomial._of_ordered(m.table, {
+        _mono_quotient(m.leading_monomial(), pivot.leading_monomial()): s})
+    sign = "+" if s > 0 else "-"
+    return CaseDecomposition(mask, m, q, Polynomial.zero(m.table), (sign, _NEGATED[sign], "0"))
 
 
 def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertification:
@@ -221,6 +253,11 @@ def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertifi
     (coefficient tests alone settle + and -), pivot-case-split (a
     Certificate closes the gap), sampling-only (gap left open; only proven
     signs are reported).
+
+    A trial of candidate D divides a mixed minor m only when the result is
+    not known: an owner of D (m = s*c*D) is decomposed directly, and an m
+    where lead(D) divides no term gives (0, m), which concludes nothing, so
+    the trial leaves it out and builds it only if D wins.
     """
     if not 1 <= k <= matrix.n:
         raise ValueError(f"order {k} out of range 1..{matrix.n}")
@@ -237,12 +274,15 @@ def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertifi
     if not missing:
         return LevelCertification(guaranteed, METHOD_CONSTANT_SIGN, None)
 
-    # A winner's trial decompositions join its constant-sign minors' ones.
-    for pivot in discover_pivots(list(mixed.values())):
-        trial = {mask: _decompose(m, None, pivot, mask) for mask, m in mixed.items()}
+    for pivot, owners in _candidates(mixed.items()):
+        lead_mono, lead_coeff = pivot.leading_term()
+        trial = {mask: _owner_decomposition(mixed[mask], pivot, mask) for mask in owners}
+        trial.update((mask, _decompose(m, None, pivot, mask)) for mask, m in mixed.items()
+                     if mask not in trial and _has_cancellable_term(m, lead_mono, lead_coeff))
         if missing <= _concluded_everywhere(list(trial.values())):
             guaranteed |= missing
-            decs = tuple(trial[mask] if sign is None else _decompose(m, sign, pivot, mask)
+            # the won trial's decompositions join those of the other minors
+            decs = tuple(trial.get(mask) or _decompose(m, sign, pivot, mask)
                          for mask, m, sign in level)
             return LevelCertification(guaranteed, METHOD_PIVOT,
                                       Certificate(k, pivot, decs, guaranteed))

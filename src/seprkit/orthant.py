@@ -14,17 +14,18 @@ the table (``_stream_of``), the first time any polynomial reaches them, and
 every polynomial of the table reads them from there.  A table keeps one
 stream, that of the last seed and length it was sampled at, so calls that
 alternate seeds over one table draw afresh each time.  A sample that becomes
-a witness builds its Fraction values once, shared by every witness point it
-gives.  The stream holds only ints and Fractions, so it is freed with its
-table.  It stores at most ``_STORED_SAMPLES`` samples whatever the budget:
-a polynomial that needs more continues the generator from the last stored
-state without storing.  Threads may share a stream (see ``_SampleStream``).
+a witness is one point, rendered once, for every verdict it witnesses.  The
+stream holds only ints and weak references to those points, so it is freed
+with its table.  It stores at most ``_STORED_SAMPLES`` samples whatever the
+budget: a polynomial that needs more continues the generator from the last
+stored state without storing.  Threads may share a stream (see ``_SampleStream``).
 Each polynomial keeps its own early-exit loop over the stream, so verdicts
 and witnesses are exactly those of a fresh ``Lcg64(seed)`` per call.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -106,8 +107,8 @@ _STORED_SAMPLES = 256
 class _SampleStream:
     """The samples ``Lcg64(seed)`` draws for a table of ``n`` variables,
     each drawn once and read by every polynomial classified over the table
-    with that seed.  It holds only ints and Fractions, no reference to the
-    table.
+    with that seed.  It holds only ints and weak references, no strong
+    reference to the table.
 
     Sample j is stored as (us, vs, state): the u and v lists of the point
     ``Lcg64.point`` would draw j-th, and the generator state after it.
@@ -117,13 +118,13 @@ class _SampleStream:
     ``setdefault`` stores one of them.
     """
 
-    __slots__ = ("key", "_samples", "_values")
+    __slots__ = ("key", "_samples", "_points")
 
     def __init__(self, key: tuple[int, int]) -> None:
         self.key = key  # (seed masked to 64 bits, n)
         self._samples: dict[int, tuple[list[int], list[int], int]] = {}
-        # j -> sample j's Fraction values, built when it first witnesses
-        self._values: dict[int, tuple[Fraction, ...]] = {}
+        # j -> sample j's witness point, while some verdict holds it
+        self._points: dict[int, weakref.ref] = {}
 
     def samples(self) -> Iterator[tuple[list[int], list[int], int]]:
         """Samples 0, 1, 2, ... without end, drawn as they are reached."""
@@ -142,14 +143,16 @@ class _SampleStream:
     def point(self, table: VariableTable, j: int, us: list[int],
               vs: list[int]) -> RationalPoint:
         """Sample j, read off ``samples()`` as us, vs, as a point of
-        ``table``; its values are built once and shared by every witness
-        that is sample j."""
-        values = self._values.get(j)
-        if values is None:
-            values = tuple(map(Fraction, us, vs))
+        ``table``: one point, rendered at most once, for every witness that
+        is sample j while some verdict holds it.  The stream keeps only a
+        weak reference to it, as the point refers to the table."""
+        ref = self._points.get(j)
+        point = ref and ref()
+        if point is None:
+            point = RationalPoint(table, tuple(map(Fraction, us, vs)))
             if j < _STORED_SAMPLES:
-                values = self._values.setdefault(j, values)
-        return RationalPoint(table, values)
+                self._points[j] = weakref.ref(point)
+        return point
 
 
 def _draw(rng: Lcg64, n: int) -> tuple[list[int], list[int], int]:
@@ -231,9 +234,9 @@ def classify_polynomial(p: Polynomial, budget: int = DEFAULT_BUDGET,
     p is compiled once into per-term index getters and each sample's sign
     is read off the integer numerator of p's value over a positive
     denominator, so the loop builds no Fraction.  Only the two witnesses
-    become points, equal to the ones ``Lcg64.point`` would have drawn; their
-    values are built once per sample and shared with every other polynomial
-    that sample witnesses for.
+    become points, equal to the ones ``Lcg64.point`` would have drawn; a
+    sample's point is one object, shared with every other polynomial that
+    sample witnesses for while some verdict holds it.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

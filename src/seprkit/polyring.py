@@ -31,7 +31,8 @@ the same polynomial as the general code:
 * a polynomial whose monomial content is 1 is its own primitive part up to
   sign, and the gcd scan stops once the content reaches 1;
 * ``reduce_by`` returns (0, m) when lead(D) divides no term of m (see
-  there), which is the common case in the pivot search.
+  there); the pivot search asks ``_has_cancellable_term`` first and then
+  leaves such a minor out of its trial.
 """
 
 from __future__ import annotations
@@ -281,7 +282,12 @@ class RationalPoint:
             yield self.table.name(index), value
 
     def render(self) -> str:
-        return " ".join(f"{name}={value}" for name, value in self.items())
+        # kept after the first call: the values and their names never change
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = self.__dict__["_text"] = " ".join(
+                f"{name}={value}" for name, value in self.items())
+        return text
 
     def __repr__(self) -> str:
         return f"RationalPoint({self.render()})"
@@ -580,15 +586,17 @@ class Polynomial:
 
 
 def _has_cancellable_term(m: Polynomial, lead_mono: tuple, lead_coeff: int) -> bool:
-    """True if lead_coeff*lead_mono divides a term of m in the integers."""
+    """True if lead_coeff*lead_mono divides a term of m in the integers.
+    Only the terms above lead_mono's degree are scanned: of its own degree
+    it divides only itself, which one lookup finds, and none below it."""
     degree = lead_mono[0]  # negated, as in every monomial
     for mono, coeff in m._terms.items():
-        if mono[0] > degree:
-            return False
-        if (mono == lead_mono if mono[0] == degree else _mono_divides(lead_mono, mono)) \
-                and coeff % lead_coeff == 0:
+        if mono[0] >= degree:
+            break
+        if _mono_divides(lead_mono, mono) and coeff % lead_coeff == 0:
             return True
-    return False
+    coeff = m._terms.get(lead_mono)
+    return coeff is not None and coeff % lead_coeff == 0
 
 
 def reduce_by(m: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -611,10 +619,9 @@ def reduce_by(m: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynomia
     Until a term is cancelled nothing enters the dict, so the loop cancels
     some term exactly when some term of m itself is cancellable.  When
     none is, it moves every term of m to the remainder unchanged, and the
-    result is (0, m) without the heap: one scan of m decides that, and it
-    stops at the first term below lead(D)'s degree, since m's terms are
-    stored in descending order and lead(D) divides no monomial of lower
-    degree (of equal degree, only its own).
+    result is (0, m) without the heap: ``_has_cancellable_term`` decides
+    that from m's terms above lead(D)'s degree, which come first, and one
+    lookup of lead(D) itself.
     """
     _check_tables(m.table, divisor.table)
     if divisor.is_zero():

@@ -25,7 +25,6 @@ from seprkit import (
     RationalPoint,
     SymMatrix,
     VariableTable,
-    discover_pivots,
     reduce_by,
 )
 from seprkit.certify import (
@@ -340,11 +339,22 @@ def case_rule_reference(m: Polynomial, D: Polynomial) -> CaseDecomposition:
     return CaseDecomposition(0, m, q, r, (when_pos, when_neg, constant.get(sr)))
 
 
+def pivot_candidates_reference(mixed) -> list[tuple[Polynomial, list[Polynomial]]]:
+    """(candidate, its owners) for the mixed minors: each distinct
+    ``primitive_part_reference``, sorted by rendered text, with the minors
+    whose primitive part it is."""
+    owners = {}
+    for m in mixed:
+        owners.setdefault(str(primitive_part_reference(m)), []).append(m)
+    return [(primitive_part_reference(group[0]), group)
+            for _, group in sorted(owners.items())]
+
+
 def certify_level_reference(matrix, k: int, minors) -> LevelCertification:
-    """``certify_level`` by exhaustive search: every candidate pivot
-    decomposes every nonzero k-minor under ``case_rule_reference``, and a
-    sign counts as proven when some decomposition concludes it in each of
-    the three cases."""
+    """``certify_level`` by exhaustive search: every candidate pivot, from
+    ``pivot_candidates_reference``, decomposes every nonzero k-minor under
+    ``case_rule_reference``, and a sign counts as proven when some
+    decomposition concludes it in each of the three cases."""
     masks = [mask for mask in range(1, 1 << matrix.n) if mask.bit_count() == k]
     summaries = [(mask, minors.minor(mask).coeff_sign_summary()) for mask in masks]
     present = {summary for _, summary in summaries}
@@ -360,7 +370,7 @@ def certify_level_reference(matrix, k: int, minors) -> LevelCertification:
         return LevelCertification(frozenset(guaranteed), METHOD_CONSTANT_SIGN, None)
     nonzero = [(mask, minors.minor(mask)) for mask, s in summaries
                if s is not CoeffSignSummary.ALL_ZERO]
-    for pivot in discover_pivots(mixed):
+    for pivot, _ in pivot_candidates_reference(mixed):
         decs = tuple(replace(case_rule_reference(m, pivot), mask=mask) for mask, m in nonzero)
         provable = {"+", "-"}
         for case in ("D>0", "D<0", "D=0"):

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import types
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -45,6 +46,8 @@ from _oracles import (
     case_rule_reference,
     certificate_mismatches,
     certify_level_reference,
+    monomial_divides,
+    pivot_candidates_reference,
     random_polynomial,
     random_positive_point,
     reduce_by_reference,
@@ -78,6 +81,19 @@ def random_signed_document(rng, n, density):
     return {"n": n, "entries": entries}
 
 
+def random_entry_document(rng, n, density, names):
+    """Each nonzero entry a constant 1-3, or one of a few shared variables
+    times 1, 2 or 3, negated with probability 0.4."""
+    def entry():
+        if rng.random() >= density:
+            return "0"
+        sign = "-" if rng.random() < 0.4 else ""
+        if rng.random() < 0.2:
+            return sign + str(rng.randint(1, 3))
+        return sign + rng.choice(["", "", "2*", "3*"]) + rng.choice(names)
+    return {"n": n, "entries": [[entry() for _ in range(n)] for _ in range(n)]}
+
+
 # pivot-case-split at k = 3, where two all-positive minors join the certificate
 PIVOT_WITH_CONSTANT_MINORS = {"n": 5, "entries": [
     ["-x1", "-x2", "0", "0", "x3"],
@@ -86,6 +102,22 @@ PIVOT_WITH_CONSTANT_MINORS = {"n": 5, "entries": [
     ["0", "x13", "x14", "-x15", "-x16"],
     ["x17", "x18", "-x19", "0", "x20"],
 ]}
+
+# the same with row 3 doubled: the winning pivot is 2*x11*x15 - 2*x12*x14
+PIVOT_WITH_CONSTANT_MINORS_ROW3_DOUBLED = {"n": 5, "entries": [
+    row if i != 2 else ["-2*x9", "2*x10", "-2*x11", "2*x12", "0"]
+    for i, row in enumerate(PIVOT_WITH_CONSTANT_MINORS["entries"])]}
+
+# the 3-minors on {1,2,3} and {1,2,4} are u and v times x*w - y*z
+SHARED_FACTOR = {"n": 4, "entries": [
+    ["x", "y", "0", "0"],
+    ["z", "w", "0", "0"],
+    ["0", "0", "u", "0"],
+    ["0", "0", "0", "v"],
+]}
+
+# the 2-minors on {1,2} and {1,3} are x^2 - y^2 and x^2 - z^2
+SHARED_LEADING_TERM = {"n": 3, "entries": [["x", "y", "z"], ["y", "x", "0"], ["z", "0", "x"]]}
 
 
 # ------------------------------------------------------------- case rules
@@ -199,6 +231,27 @@ def test_discover_pivots_skips_constant_sign_polynomials():
     assert discover_pivots([x * (x - y), y * y * (y - x)]) == [x - y]
 
 
+def test_discover_pivots_orders_a_shared_leading_term_by_the_full_text():
+    # candidates are grouped by leading text; a group of several is ordered
+    # by full text, and a leading text that is a prefix of another sorts
+    # first, as its next character in the full text is a space
+    table = VariableTable(["x", "y", "z", "w"])
+    x, y, z, w = (Polynomial.variable(table, name) for name in "xyzw")
+    minors = [x * y - z, z * (x * y - z), -(x * y - z), x * y - w, x * y - 2 * z,
+              x * y * z - w, x - y, 2 * x * y - z, y * (x ** 2 - w), x ** 2 * y - z]
+    want = ["2*x*y - z", "x - y", "x*y - 2*z", "x*y - w", "x*y - z", "x*y*z - w",
+            "x^2 - w", "x^2*y - z"]
+    assert [str(p) for p in discover_pivots(minors)] == want == sorted(want)
+    # against deduplicated primitive parts sorted by their text, on random
+    # polynomials over two variables, where leading terms often coincide
+    rng = random.Random(1414)
+    small = VariableTable(["x", "y"])
+    for _ in range(200):
+        polys = [random_polynomial(rng, small, max_terms=3, max_degree=2) for _ in range(6)]
+        mixed = [p for p in polys if p.coeff_sign_summary() is CoeffSignSummary.MIXED_SIGNS]
+        assert discover_pivots(polys) == [p for p, _ in pivot_candidates_reference(mixed)]
+
+
 # ----------------------------------------------------------- level results
 
 
@@ -225,9 +278,11 @@ def test_certify_level_results_for_builtin_matrix(builtin_matrix, builtin_minors
 
 def test_a_won_level_divides_each_minor_by_the_pivot_once(
         monkeypatch, builtin_matrix, builtin_minors):
-    # the decompositions that test the winning pivot are its certificate:
-    # one division per (mixed minor, candidate tried) and one per
-    # constant-sign minor, never a second pass over the mixed ones
+    # the decompositions that test the winning pivot are its certificate,
+    # and a trial divides a minor only where the result is not known: a
+    # minor whose primitive part is the candidate (an owner) is m = s*c*D,
+    # and one where lead(D) divides no term gives (0, m) and is divided
+    # only once the pivot has won, like a constant-sign minor
     constant = matrix_from_document(PIVOT_WITH_CONSTANT_MINORS)
     constant_minors = all_principal_minors(constant)
     calls = []
@@ -237,11 +292,28 @@ def test_a_won_level_divides_each_minor_by_the_pivot_once(
         return reduce_by(m, D)
 
     monkeypatch.setattr("seprkit.certify.reduce_by", counting_reduce_by)
-    assert certify_level(builtin_matrix, 9, builtin_minors).method == METHOD_PIVOT
-    assert len(calls) == 4
+    level = certify_level(builtin_matrix, 9, builtin_minors)
+    assert level.method == METHOD_PIVOT
+    # of the four size-9 minors, j = 3 and j = 4 own the pivot
+    assert calls == [(builtin_minors.minor(s.mask()), level.certificate.pivot)
+                     for s in SIZE9_SUBSETS[2:]]
     calls.clear()
-    assert certify_level(constant, 3, constant_minors).method == METHOD_PIVOT
-    assert len(calls) == 34
+    level3 = certify_level(constant, 3, constant_minors)
+    assert level3.method == METHOD_PIVOT
+    assert len(calls) == 9
+    monkeypatch.undo()
+    owners = 0
+    for won in (level, level3):
+        pivot = won.certificate.pivot
+        for dec in won.certificate.decompositions:
+            assert (dec.q, dec.r) == reduce_by(dec.minor, pivot)
+            assert dec == replace(case_rule_reference(dec.minor, pivot), mask=dec.mask)
+            if dec.minor.primitive_part() == pivot:
+                owners += 1
+                assert dec.r.is_zero() and dec.q.num_terms() == 1
+                assert dec.cases == (("+", "-", "0") if dec.q.leading_coefficient() > 0
+                                     else ("-", "+", "0"))
+    assert owners == 3
 
 
 def test_reduce_by_matches_the_reference_on_every_dense_minor_and_candidate():
@@ -263,26 +335,28 @@ def test_reduce_by_matches_the_reference_on_every_dense_minor_and_candidate():
 
 
 def test_a_dense_level_builds_a_heap_only_for_divisions_that_divide(monkeypatch):
+    # with a distinct variable in every entry, each candidate's only minor
+    # that lead(D) can reduce is its owner, whose quotient is known, so the
+    # search divides nothing and builds no heap
     matrix = matrix_from_document(random_signed_document(random.Random(913), 5, 1.0))
     minors = all_principal_minors(matrix)
-    heaps, quotients = [], []
+    heaps, calls = [], []
 
     def counting_heapify(heap):
         heaps.append(len(heap))
         heapq.heapify(heap)
 
-    def recording_reduce_by(m, D):
-        q, r = reduce_by(m, D)
-        quotients.append(q)
-        return q, r
+    def counting_reduce_by(m, D):
+        calls.append((m, D))
+        return reduce_by(m, D)
 
     monkeypatch.setattr("seprkit.polyring.heapq", types.SimpleNamespace(
         heapify=counting_heapify, heappop=heapq.heappop, heappush=heapq.heappush))
-    monkeypatch.setattr("seprkit.certify.reduce_by", recording_reduce_by)
-    certify_level(matrix, 3, minors)
-    dividing = [q for q in quotients if not q.is_zero()]
-    assert len(dividing) < len(quotients) // 2
-    assert len(heaps) == len(dividing) > 0
+    monkeypatch.setattr("seprkit.certify.reduce_by", counting_reduce_by)
+    assert certify_level(matrix, 3, minors).method == METHOD_SAMPLING
+    # all ten 3-minors are mixed, and each is the only owner of its candidate
+    assert len(discover_pivots([m for _, m in minors.nonzero_of_order(3)])) == 10
+    assert calls == [] and heaps == []
 
 
 def test_certify_level_checks_the_order_before_enumerating(builtin_matrix, builtin_minors):
@@ -301,12 +375,40 @@ def test_certify_level_checks_the_order_before_enumerating(builtin_matrix, built
             certify_level(too_big, k, MinorTable(n, {}, zero))
 
 
+def search_cases(minors, k, level):
+    """Which of the cases that let certify_level skip a division occur
+    among the candidates it tried on order k."""
+    mixed = [m for _, m in minors.nonzero_of_order(k)
+             if m.coeff_sign_summary() is CoeffSignSummary.MIXED_SIGNS]
+    candidates = pivot_candidates_reference(mixed)
+    if level.certificate is not None:
+        texts = [str(pivot) for pivot, _ in candidates]
+        candidates = candidates[:texts.index(str(level.certificate.pivot)) + 1]
+    leads = [str(pivot).split(" ")[0] for pivot, _ in candidates]
+    cases = set()
+    if any(len(owners) > 1 for _, owners in candidates):
+        cases.add("several owners")
+    if len(set(leads)) < len(leads):
+        cases.add("shared leading text")
+    if any(-mono[0] > pivot.degree and monomial_divides(pivot.leading_monomial(), mono)
+           for pivot, _ in candidates for m in mixed for mono, _ in m.terms()):
+        cases.add("lead divides a higher term")
+    if any(pivot.leading_coefficient() != 1 for pivot, _ in candidates):
+        cases.add("leading coefficient not 1")
+    return cases
+
+
 def test_certify_level_matches_the_exhaustive_reference():
     rng = random.Random(515)
-    documents = [PAPER_MATRIX_DOCUMENT, mutated_document(), PIVOT_WITH_CONSTANT_MINORS]
+    documents = [PAPER_MATRIX_DOCUMENT, mutated_document(), PIVOT_WITH_CONSTANT_MINORS,
+                 PIVOT_WITH_CONSTANT_MINORS_ROW3_DOUBLED, SHARED_FACTOR, SHARED_LEADING_TERM]
     documents += [random_signed_document(rng, n, density)
                   for n in (3, 4, 5) for density in (0.4, 1.0) for _ in range(8)]
-    methods = set()
+    # repeated variables, constant entries and integer coefficients
+    documents += [random_entry_document(rng, n, density, names)
+                  for n in (3, 4) for density in (0.6, 1.0) for names in ("xy", "xyzw")
+                  for _ in range(4)]
+    methods, cases = set(), set()
     pivot_beside_constant_minors = False
     for document in documents:
         matrix = matrix_from_document(document)
@@ -321,9 +423,13 @@ def test_certify_level_matches_the_exhaustive_reference():
                 pivot_beside_constant_minors |= any(
                     dec.minor.coeff_sign_summary() is not CoeffSignSummary.MIXED_SIGNS
                     for dec in got.certificate.decompositions)
+            if got.method in (METHOD_PIVOT, METHOD_SAMPLING):
+                cases |= search_cases(minors, k, got)
             methods.add(got.method)
     assert methods == {METHOD_ALL_ZERO, METHOD_CONSTANT_SIGN, METHOD_PIVOT, METHOD_SAMPLING}
     assert pivot_beside_constant_minors
+    assert cases == {"several owners", "shared leading text", "lead divides a higher term",
+                     "leading coefficient not 1"}
 
 
 def test_certificate_soundness_on_sampled_and_projected_points(builtin_matrix, builtin_minors):

@@ -302,6 +302,30 @@ def test_one_analysis_draws_each_sample_once():
     assert {call.args[1] for call in pairs.call_args_list} == {36}
 
 
+def test_witnesses_of_one_sample_are_one_point_rendered_once():
+    # a dense 6x6 analysis finds its many witnesses among a few samples;
+    # while the verdicts hold them, each sample is one point whose text is
+    # built on the first render and is that of a fresh point
+    matrix = matrix_from_document(dense_document(random.Random(606), 6))
+    report = analyze(matrix, seed=3)
+    witnesses = [w for verdict in report.classes.values()
+                 for w in (verdict.pos_witness, verdict.neg_witness) if w is not None]
+    by_values = {}
+    for witness in witnesses:
+        assert by_values.setdefault(witness.values, witness) is witness
+    assert len(witnesses) > 4 * len(by_values)
+    with mock.patch.object(RationalPoint, "items", autospec=True,
+                           side_effect=RationalPoint.items) as items:
+        texts = [witness.render() for witness in witnesses]
+    assert items.call_count == len(by_values)
+    assert texts == [RationalPoint(matrix.table, w.values).render() for w in witnesses]
+    # the stream does not keep a point alive once no verdict holds it
+    freed = weakref.ref(witnesses[0])
+    del report, witnesses, by_values, witness, items  # the mock records its calls
+    gc.collect()
+    assert freed() is None and matrix.table._sample_stream is not None
+
+
 def test_the_sample_stream_dies_with_its_table():
     # the stream lives on the table and holds nothing that refers back to
     # it, so the table, its points and its minors are freed together

@@ -505,6 +505,28 @@ def test_reduce_by_remainder_condition_for_unit_leading_coefficient():
         assert all(not monomial_divides(lead, mono) for mono, _ in r.terms())
 
 
+def test_cancellable_term_scan_matches_the_definition():
+    # lead_coeff*lead_mono divides a term of m in the integers; the merge
+    # walk runs only on terms above lead_mono's degree, and a term of its
+    # own degree is found by one lookup
+    rng = random.Random(442)
+    found = set()
+    for table in (fresh_table(), VariableTable(["x", "y"])):
+        for _ in range(300):
+            m = random_polynomial(rng, table, max_terms=6)
+            d = random_polynomial(rng, table, max_terms=2, max_degree=2)
+            if d.is_zero():
+                continue
+            lead, coeff = d.leading_term()
+            want = any(monomial_divides(lead, mono) and c % coeff == 0 for mono, c in m.terms())
+            with mock.patch.object(polyring, "_mono_divides",
+                                   side_effect=polyring._mono_divides) as divides:
+                assert polyring._has_cancellable_term(m, lead, coeff) == want
+            assert all(call.args[1][0] < lead[0] for call in divides.call_args_list)
+            found.add((want, lead in dict(m.terms())))
+    assert found == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_reduce_by_known_values():
     table = VariableTable(["b1", "b2", "b3", "b4", "b5", "b7", "b10"])
     b1, b2, b3 = (var(table, n) for n in ("b1", "b2", "b3"))
