@@ -47,7 +47,6 @@ from .certify import (
     analyze,
     certify_level,
     check_expected,
-    check_case_rule,
     discover_pivots,
     verify_paper_claims,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "analyze",
     "certify_level",
     "check_expected",
-    "check_case_rule",
     "discover_pivots",
     "verify_paper_claims",
     "__version__",

@@ -48,7 +48,6 @@ __all__ = [
     "SeprReport",
     "ClaimResult",
     "VerificationReport",
-    "check_case_rule",
     "discover_pivots",
     "certify_level",
     "analyze",
@@ -94,7 +93,7 @@ _FULL = frozenset({"0", "+", "-"})
 class CaseDecomposition:
     """One minor's exact division by the pivot, m = q*D + r, plus the sign
     concluded (or None for unknown) per case of _CASE_KEYS; ``mask`` is the
-    minor's subset, 0 outside a certificate."""
+    minor's subset."""
 
     mask: int
     minor: Polynomial
@@ -110,7 +109,7 @@ class CaseDecomposition:
 
     def to_document(self) -> dict:
         return {
-            "subset": str(IndexSet.from_mask(self.mask)) if self.mask else None,
+            "subset": str(IndexSet.from_mask(self.mask)),
             "minor": str(self.minor),
             "q": str(self.q),
             "r": str(self.r),
@@ -118,8 +117,10 @@ class CaseDecomposition:
         }
 
 
-def check_case_rule(m: Polynomial, D: Polynomial) -> CaseDecomposition:
-    """Divide m by the pivot and apply the sound sign rules case by case.
+def _decompose(m: Polynomial, sign: str | None, D: Polynomial,
+               mask: int) -> CaseDecomposition:
+    """Divide minor ``mask``, m, by the nonzero pivot D and apply the sound
+    sign rules case by case, given m's own sign(m).
 
     With (q, r) = reduce_by(m, D), sign(x) is the sign that x's coefficients
     share (all zero, all positive or all negative), else None (unknown):
@@ -132,14 +133,6 @@ def check_case_rule(m: Polynomial, D: Polynomial) -> CaseDecomposition:
     A sum's sign is unknown when a summand's is or the two oppose; the rules
     never guess.
     """
-    if D.is_zero():
-        raise ValueError("zero pivot")
-    return _decompose(m, _CONSTANT_SIGN.get(m.coeff_sign_summary()), D, 0)
-
-
-def _decompose(m: Polynomial, sign: str | None, D: Polynomial,
-               mask: int) -> CaseDecomposition:
-    """``check_case_rule`` for a nonzero pivot D, given m's own sign(m)."""
     q, r = reduce_by(m, D)
     # with q = 0, r = m and every case concludes sign(m), or nothing for None
     if sign is not None or q.is_zero():

@@ -10,17 +10,18 @@ ways round it.  A minor whose S no family covers is identically zero.
 the one determinant engine: it runs over polynomial entries for the minor
 table and ``principal_minor``, and over plain integers for the point-evaluation
 path, whose rows are scaled to clear the denominators of the point.  No
-function here reads the monomial layout of ``polyring``.
+function here reads the monomial layout of ``polyring``; point values come
+from its one evaluator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
-from .polyring import Polynomial, RationalPoint
+from .polyring import Polynomial, RationalPoint, _point_lists
 from .symmatrix import SymMatrix
 
 __all__ = ["MinorTable", "principal_minor", "all_principal_minors", "minor_values_at",
@@ -170,20 +171,30 @@ def minor_values_at(matrix: SymMatrix, point: RationalPoint) -> dict[int, Fracti
     """Exact values at a rational point of the principal minors on the
     matrix's cycle-cover masks, in increasing mask order; every other
     principal minor is 0 there.  A cover mask whose value is 0 is kept.
+    The point must assign every variable of the matrix's table, in order
+    (ValueError otherwise).
 
     Substitutes first, so no symbolic minor table is required, and sums in
-    integers: row i is scaled by L_i, the lcm of its entries' denominators,
-    so det A[S] = det((LA)[S]) / prod of L_i over i in S, and a Fraction is
-    built once per mask.  The support, and so the masks, come from the
-    symbolic entries: one that evaluates to 0 at the point stays an edge.
+    integers.  The point becomes integer numerator and denominator lists
+    once, and every entry is evaluated on them by the polynomials' one
+    compiled evaluator.  Row i is scaled by L_i, the lcm of its entries'
+    reduced denominators, so det A[S] = det((LA)[S]) / prod of L_i over i
+    in S, and a Fraction is built once per mask.  The support, and so the
+    masks, come from the symbolic entries: one that evaluates to 0 at the
+    point stays an edge.
     """
     n = matrix.n
+    us, vs = _point_lists(point, matrix.table, len(matrix.table))
     row_entries, scales = [], []
     for row in matrix.rows:
-        values = [(j, entry.eval_at(point)) for j, entry in enumerate(row) if entry]
-        scale = lcm(*(value.denominator for _, value in values))
-        row_entries.append([(j, value.numerator * (scale // value.denominator))
-                            for j, value in values])
+        values = []
+        for j, entry in enumerate(row):
+            if entry:
+                num, den = entry._evaluator()[1](us, vs)
+                common = gcd(num, den)
+                values.append((j, num // common, den // common))
+        scale = lcm(*(den for _, _, den in values))
+        row_entries.append([(j, num * (scale // den)) for j, num, den in values])
         scales.append(scale)
     sums = _family_sums(row_entries, 1, sum)
     # products[m] multiplies the L_i of rows low..low+7 whose bit is set in

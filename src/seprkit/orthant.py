@@ -231,9 +231,9 @@ def classify_polynomial(p: Polynomial, budget: int = DEFAULT_BUDGET,
     Sample j is the (u, v) pairs the j-th ``Lcg64(seed).point`` call would
     draw, read from the table's shared stream (see the module docstring):
     drawn once per (table, seed), at most ``_STORED_SAMPLES`` of them stored.
-    p is compiled once into per-term index getters and each sample's sign
-    is read off the integer numerator of p's value over a positive
-    denominator, so the loop builds no Fraction.  Only the two witnesses
+    p is compiled once by ``Polynomial._evaluator``, the evaluator behind
+    ``eval_at``, and each sample's sign is read off N alone, the integer
+    numerator of p's value N/Q with Q > 0, so the loop builds no Fraction.  Only the two witnesses
     become points, equal to the ones ``Lcg64.point`` would have drawn; a
     sample's point is one object, shared with every other polynomial that
     sample witnesses for while some verdict holds it.
@@ -249,10 +249,10 @@ def classify_polynomial(p: Polynomial, budget: int = DEFAULT_BUDGET,
         return _NEG
     table = p.table
     stream = _stream_of(table, seed)
-    numerator_of = p._numerator_of_samples()
+    _, value_of = p._evaluator()
     pos = neg = None
     for j, (us, vs, _) in zip(range(budget), stream.samples()):
-        numerator = numerator_of(us, vs)
+        numerator = value_of(us, vs)[0]
         if numerator > 0:
             if pos is None:
                 pos = stream.point(table, j, us, vs)
@@ -300,11 +300,10 @@ def sepr_at_point(matrix: SymMatrix, point: RationalPoint) -> SeprSequence:
     """Exact sepr-sequence of ``matrix`` at a strictly positive point:
     s_k collects the signs of all C(n,k) principal k x k minors.  Only the
     cycle-cover masks are evaluated; when they are fewer than C(n,k), some
-    k-minor is identically zero and s_k holds 0."""
+    k-minor is identically zero and s_k holds 0.  ``minor_values_at``
+    raises ValueError unless the point assigns every matrix variable."""
     if not point.is_strictly_positive():
         raise ValueError("point must be strictly positive")
-    if point.table.names[: len(matrix.table)] != matrix.table.names:
-        raise ValueError("point does not assign every matrix variable")
     n = matrix.n
     signs: list[set] = [set() for _ in range(n)]
     covers = [0] * n

@@ -2,8 +2,9 @@
 
 Polynomials are immutable values over a shared, append-only variable table.
 Coefficients are Python ints and evaluation at a rational point sums in
-integers over a common denominator (``_scaled_value``), so every sign
-decision made downstream is exact; floating point never enters the picture.
+integers over a common denominator (``Polynomial._evaluator``), so every
+sign decision made downstream is exact; floating point never enters the
+picture.
 
 The single term order used everywhere (canonical forms, leading terms,
 division) is graded lexicographic: higher total degree wins, ties are broken
@@ -16,9 +17,9 @@ the tuples as they are and ``reduce_by`` pops the greatest pending monomial
 off a heap of them.  Product, divisibility, quotient, gcd and rendering of
 monomials are the private ``_mono_*`` functions below, and ``_mono_indices``
 lists a monomial's variable indices with repetition for the compiled
-evaluator ``_numerator_of_samples``; apart from them only
-``Polynomial.variable``, ``constant``, ``degree``, ``_top_exponents``,
-``_scaled_value``, ``_numerator_of_samples`` and ``_has_cancellable_term``
+evaluator ``Polynomial._evaluator``, the one code that evaluates a
+polynomial at a point; apart from them only ``Polynomial.variable``,
+``constant``, ``degree``, ``_top_exponents`` and ``_has_cancellable_term``
 read the layout.
 
 Three shortcuts skip work whose result is known beforehand, and each gives
@@ -269,11 +270,6 @@ class RationalPoint:
                 raise ValueError(f"variable {name!r} unassigned")
         return RationalPoint(table, tuple(exact[name] for name in table))
 
-    def value(self, index: int) -> Fraction:
-        if index >= len(self.values):
-            raise ValueError(f"variable {self.table.name(index)!r} unassigned")
-        return self.values[index]
-
     def is_strictly_positive(self) -> bool:
         return all(v > 0 for v in self.values)
 
@@ -291,6 +287,25 @@ class RationalPoint:
 
     def __repr__(self) -> str:
         return f"RationalPoint({self.render()})"
+
+
+def _point_lists(point: RationalPoint, table: VariableTable,
+                 length: int) -> tuple[list[int], list[int]]:
+    """The numerators and the positive denominators of the point's values of
+    variables 0..length-1 of ``table``, the lists the compiled evaluator
+    reads.  The point's table must name those variables at the same indices
+    and the point must give each a value; else ValueError names the variable,
+    for a missing value the last one, which the caller reads."""
+    if length:
+        names, given = table._names, point.table._names
+        if given is not names and given[:length] != names[:length]:
+            for name, other in zip(names[:length], given):
+                if name != other:
+                    raise ValueError(f"the point has {other!r} where the table has {name!r}")
+        if min(len(given), len(point.values)) < length:
+            raise ValueError(f"variable {names[length - 1]!r} unassigned")
+    values = point.values[:length]
+    return [value.numerator for value in values], [value.denominator for value in values]
 
 
 class Polynomial:
@@ -440,19 +455,18 @@ class Polynomial:
     # -- exact analysis ----------------------------------------------------
 
     def eval_at(self, point: RationalPoint) -> Fraction:
-        """Exact rational value at ``point``; a ring homomorphism.  The sum
-        runs in integers (``_scaled_value``) and one Fraction is built at
-        the end."""
-        top = self._top_exponents()
-        values = {}
-        for index in top:
-            value = point.value(index)
-            values[index] = (value.numerator, value.denominator)
-        return Fraction(*self._scaled_value(top, values))
+        """Exact rational value at ``point``; a ring homomorphism.  The
+        compiled evaluator sums in integers over the variables up to the
+        highest one that occurs, read off the point by ``_point_lists``
+        (which raises ValueError unless the point's table agrees with this
+        polynomial's that far), and one Fraction is built at the end."""
+        length, value_of = self._evaluator()
+        return Fraction(*value_of(*_point_lists(point, self.table, length)))
 
     def _top_exponents(self) -> dict[int, int]:
         """{variable index: its highest exponent in any term}, over the
-        variables that occur; the first argument of ``_scaled_value``."""
+        variables that occur: the exponents of the evaluator's common
+        denominator."""
         top: dict[int, int] = {}
         for mono in self._terms:
             # (index, negated exponent) pairs follow the degree field
@@ -464,67 +478,37 @@ class Polynomial:
                     top[index] = exp
         return {index: -exp for index, exp in top.items()}
 
-    def _scaled_value(self, top: Mapping[int, int],
-                      values: Mapping[int, tuple[int, int]] | Sequence[tuple[int, int]]
-                      ) -> tuple[int, int]:
-        """The value as an unreduced N/Q, where variable i takes u_i/v_i for
-        ``values[i]`` = (u_i, v_i) with v_i > 0; ``top`` is
-        ``_top_exponents()``.
+    def _evaluator(self) -> tuple[int, Callable[[Sequence[int], Sequence[int]], tuple[int, int]]]:
+        """(length, value_of): ``value_of(us, vs)`` is the value as an
+        unreduced (N, Q) with Q > 0, where variable i takes us[i]/vs[i] with
+        vs[i] > 0, and reads only the variables below ``length``, one past
+        the highest that occurs.
 
         With D_i the top exponent of variable i, every term is an integer
-        multiple of 1/Q for Q = prod v_i^D_i > 0, so N is a sum of integers
-        and carries the sign of the value.  ``eval_at`` evaluates here, once
-        per point; the orthant sampler, which evaluates one polynomial at
-        many points, computes the same N through ``_numerator_of_samples``.
-        """
-        powers: dict[int, tuple[list[int], list[int]]] = {}
-        common = 1
-        for index, top_exp in top.items():
-            u, v = values[index]
-            # indexed by the stored, negated exponent: u^e is at [-e]
-            powers[index] = ([u ** e for e in range(top_exp, 0, -1)],
-                             [v ** e for e in range(top_exp, 0, -1)])
-            common *= v ** top_exp
-        total = 0
-        for mono, coeff in self._terms.items():
-            num, den = coeff, 1
-            fields = iter(mono)
-            next(fields)
-            for index in fields:
-                exp = next(fields)
-                num_pows, den_pows = powers[index]
-                num *= num_pows[exp]
-                den *= den_pows[exp]
-            total += num * (common // den)
-        return total, common
-
-    def _numerator_of_samples(self) -> Callable[[Sequence[int], Sequence[int]], int]:
-        """A function of (us, vs) giving the numerator N of
-        ``_scaled_value(top, values)``, where variable i takes us[i]/vs[i]
-        with vs[i] > 0: the same integer, so the same sign.
-
-        The terms are compiled once into (coefficient, getter) pairs, the
-        getter picking each variable's index as often as its exponent, so a
-        sample reads every term as ``c * prod(g(us)) * (Q // prod(g(vs)))``
-        without walking the monomial tuple; Q = prod v_i^D_i is picked the
-        same way.  Compiling walks every term once, so it pays only for
-        repeated evaluation: the orthant sampler compiles once per
-        polynomial, while ``eval_at``, once per point, keeps
-        ``_scaled_value``.
+        multiple of 1/Q for Q = prod vs[i]^D_i, so N is a sum of integers
+        and carries the sign of the value.  The terms are compiled once into
+        (coefficient, getter) pairs, the getter picking each variable's index
+        as often as its exponent, so a call reads every term as
+        ``c * prod(g(us)) * (Q // prod(g(vs)))`` without walking the
+        monomial tuple; Q is picked the same way.  This is the one evaluator:
+        ``eval_at`` calls it once, ``minor_values_at`` once per matrix entry
+        over lists built once per point, and the orthant sampler compiles
+        once per polynomial and reads N's sign at every sample.
         """
         terms = [(coeff, _index_getter(_mono_indices(mono)))
                  for mono, coeff in self._terms.items()]
-        common_of = _index_getter([index for index, top_exp in self._top_exponents().items()
+        top = self._top_exponents()
+        common_of = _index_getter([index for index, top_exp in top.items()
                                    for _ in range(top_exp)])
 
-        def numerator(us: Sequence[int], vs: Sequence[int]) -> int:
+        def value_of(us: Sequence[int], vs: Sequence[int]) -> tuple[int, int]:
             common = prod(common_of(vs))
             total = 0
             for coeff, of in terms:
                 total += coeff * prod(of(us)) * (common // prod(of(vs)))
-            return total
+            return total, common
 
-        return numerator
+        return max(top, default=-1) + 1, value_of
 
     def coeff_sign_summary(self) -> CoeffSignSummary:
         """Sound constant-sign certificate: all-positive coefficients force a

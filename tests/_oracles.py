@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from seprkit import (
@@ -254,7 +253,7 @@ def eval_reference(p: Polynomial, point: RationalPoint) -> Fraction:
     for mono, coeff in p.terms():
         value = Fraction(coeff)
         for index, exp in exponents(mono).items():
-            value *= point.value(index) ** exp
+            value *= point.values[index] ** exp
         total += value
     return total
 
@@ -315,15 +314,16 @@ def certificate_mismatches(certificate, points) -> list[str]:
     return problems
 
 
-def case_rule_reference(m: Polynomial, D: Polynomial) -> CaseDecomposition:
+def case_rule_reference(m: Polynomial, D: Polynomial, mask: int) -> CaseDecomposition:
     """The case rules as an explicit table over the coefficient-sign
-    summaries of m, q and r, with (q, r) = reduce_by(m, D)."""
+    summaries of m, q and r, with (q, r) = reduce_by(m, D), for the minor m
+    of subset ``mask``."""
     q, r = reduce_by(m, D)
     constant = {CoeffSignSummary.ALL_ZERO: "0", CoeffSignSummary.ALL_POSITIVE: "+",
                 CoeffSignSummary.ALL_NEGATIVE: "-"}
     fixed = constant.get(m.coeff_sign_summary())
     if fixed is not None:
-        return CaseDecomposition(0, m, q, r, (fixed, fixed, fixed))
+        return CaseDecomposition(mask, m, q, r, (fixed, fixed, fixed))
     sq, sr = q.coeff_sign_summary(), r.coeff_sign_summary()
     when_pos = when_neg = None
     if sq is CoeffSignSummary.ALL_POSITIVE:
@@ -336,7 +336,7 @@ def case_rule_reference(m: Polynomial, D: Polynomial) -> CaseDecomposition:
             when_pos = "-"
         if sr in (CoeffSignSummary.ALL_POSITIVE, CoeffSignSummary.ALL_ZERO):
             when_neg = "+"
-    return CaseDecomposition(0, m, q, r, (when_pos, when_neg, constant.get(sr)))
+    return CaseDecomposition(mask, m, q, r, (when_pos, when_neg, constant.get(sr)))
 
 
 def pivot_candidates_reference(mixed) -> list[tuple[Polynomial, list[Polynomial]]]:
@@ -371,7 +371,7 @@ def certify_level_reference(matrix, k: int, minors) -> LevelCertification:
     nonzero = [(mask, minors.minor(mask)) for mask, s in summaries
                if s is not CoeffSignSummary.ALL_ZERO]
     for pivot, _ in pivot_candidates_reference(mixed):
-        decs = tuple(replace(case_rule_reference(m, pivot), mask=mask) for mask, m in nonzero)
+        decs = tuple(case_rule_reference(m, pivot, mask) for mask, m in nonzero)
         provable = {"+", "-"}
         for case in ("D>0", "D<0", "D=0"):
             provable &= {dec.concluded(case) for dec in decs}

@@ -6,7 +6,6 @@ import math
 import random
 import re
 import types
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -21,7 +20,6 @@ from seprkit import (
     all_principal_minors,
     analyze,
     certify_level,
-    check_case_rule,
     check_expected,
     discover_pivots,
     matrix_from_document,
@@ -31,6 +29,8 @@ from seprkit import (
     verify_paper_claims,
 )
 from seprkit.certify import (
+    _CONSTANT_SIGN,
+    _decompose,
     FAIL,
     INCONCLUSIVE,
     METHOD_ALL_ZERO,
@@ -55,6 +55,12 @@ from _oracles import (
 )
 
 SIZE9_SUBSETS = [IndexSet.of({1, 2, j} | set(range(7, 13)), 12) for j in (3, 4, 5, 6)]
+
+
+def decompose(m, D, mask):
+    """The decomposition ``certify_level`` makes of minor ``mask``, m, by the
+    pivot D, m's own sign read off its coefficients."""
+    return _decompose(m, _CONSTANT_SIGN.get(m.coeff_sign_summary()), D, mask)
 
 
 def pivot_poly(table):
@@ -132,29 +138,24 @@ def test_case_rule_on_the_four_nonzero_size9_minors(builtin_matrix, builtin_mino
         6: ("+", None, "+"),
     }
     for j, subset in zip((3, 4, 5, 6), SIZE9_SUBSETS):
-        dec = check_case_rule(builtin_minors.minor(subset.mask()), D)
+        dec = decompose(builtin_minors.minor(subset.mask()), D, subset.mask())
         assert dec.cases == expected[j], j
         assert dec.identity_holds(D)
         assert dec.q * D + dec.r == dec.minor
+        assert dec.to_document()["subset"] == str(subset)
     # the j=3 quotient is the positive monomial from the claim
-    dec3 = check_case_rule(builtin_minors.minor(SIZE9_SUBSETS[0].mask()), D)
+    mask3 = SIZE9_SUBSETS[0].mask()
+    dec3 = decompose(builtin_minors.minor(mask3), D, mask3)
     assert str(dec3.q) == "a1*a2*a3*b8*c1*c2*c3"
     assert dec3.r.is_zero()
-    # outside a certificate a decomposition names no subset
-    assert dec3.mask == 0 and dec3.to_document()["subset"] is None
 
 
 def test_case_rule_constant_sign_shortcut(builtin_matrix, builtin_minors):
     D = pivot_poly(builtin_matrix.table)
-    pos_minor = builtin_minors.minor(IndexSet.of([1, 7, 10], 12).mask())
-    dec = check_case_rule(pos_minor, D)
-    assert dec.cases == ("+", "+", "+")
-    neg_minor = builtin_minors.minor(IndexSet.of([4, 9, 12], 12).mask())
-    dec = check_case_rule(neg_minor, D)
-    assert dec.cases == ("-", "-", "-")
-    zero_minor = builtin_minors.minor(IndexSet.of([1, 2, 3], 12).mask())
-    dec = check_case_rule(zero_minor, D)
-    assert dec.cases == ("0", "0", "0")
+    for indices, sign in (([1, 7, 10], "+"), ([4, 9, 12], "-"), ([1, 2, 3], "0")):
+        mask = IndexSet.of(indices, 12).mask()
+        dec = decompose(builtin_minors.minor(mask), D, mask)
+        assert dec.cases == (sign,) * 3, indices
 
 
 def test_case_rule_quotient_zero_shortcut():
@@ -165,17 +166,17 @@ def test_case_rule_quotient_zero_shortcut():
     for m, sign in ((x * y - z, None), (y + z, "+"), (-y, "-")):
         with mock.patch.object(Polynomial, "coeff_sign_summary", autospec=True,
                                side_effect=Polynomial.coeff_sign_summary) as summary:
-            dec = check_case_rule(m, x * x - y)
+            dec = decompose(m, x * x - y, 0b101)
         assert (dec.q, dec.r, dec.cases) == (0, m, (sign,) * 3)
         assert [call.args[0] for call in summary.call_args_list] == [m]
-        assert dec == case_rule_reference(m, x * x - y)
+        assert dec == case_rule_reference(m, x * x - y, 0b101)
 
 
 def test_case_rule_rejects_zero_pivot():
     table = VariableTable(["x"])
     x = Polynomial.variable(table, "x")
-    with pytest.raises(ValueError, match="zero pivot"):
-        check_case_rule(x, Polynomial.zero(table))
+    with pytest.raises(ValueError, match="zero divisor"):
+        decompose(x, Polynomial.zero(table), 1)
 
 
 def test_case_rule_matches_the_sign_table():
@@ -188,8 +189,8 @@ def test_case_rule_matches_the_sign_table():
         if D.degree < 1:
             continue
         m = random_polynomial(rng, table) * D + random_polynomial(rng, table)
-        got, want = check_case_rule(m, D), case_rule_reference(m, D)
-        assert (got.q, got.r, got.cases) == (want.q, want.r, want.cases)
+        got = decompose(m, D, 1)
+        assert got == case_rule_reference(m, D, 1)
         if m.coeff_sign_summary() is CoeffSignSummary.MIXED_SIGNS:
             seen.add((got.q.coeff_sign_summary(), got.r.coeff_sign_summary()))
     # every pair of summaries of q and r that a mixed m can have: q = 0
@@ -199,7 +200,8 @@ def test_case_rule_matches_the_sign_table():
 
 def test_case_rule_concluded_accessor(builtin_matrix, builtin_minors):
     D = pivot_poly(builtin_matrix.table)
-    dec = check_case_rule(builtin_minors.minor(SIZE9_SUBSETS[0].mask()), D)
+    mask = SIZE9_SUBSETS[0].mask()
+    dec = decompose(builtin_minors.minor(mask), D, mask)
     assert dec.concluded("D>0") == "+"
     assert dec.concluded("D<0") == "-"
     assert dec.concluded("D=0") == "0"
@@ -307,7 +309,7 @@ def test_a_won_level_divides_each_minor_by_the_pivot_once(
         pivot = won.certificate.pivot
         for dec in won.certificate.decompositions:
             assert (dec.q, dec.r) == reduce_by(dec.minor, pivot)
-            assert dec == replace(case_rule_reference(dec.minor, pivot), mask=dec.mask)
+            assert dec == case_rule_reference(dec.minor, pivot, dec.mask)
             if dec.minor.primitive_part() == pivot:
                 owners += 1
                 assert dec.r.is_zero() and dec.q.num_terms() == 1

@@ -304,33 +304,67 @@ def test_evaluation_is_a_ring_homomorphism():
         var(table, "a2").eval_at(partial)
 
 
-def test_compiled_numerator_is_the_scaled_value_numerator():
-    # the sampler's compiled evaluator must give _scaled_value's integer N,
-    # with N/Q the exact value, for constant, one-variable, multilinear and
-    # higher-power terms alike
+def test_the_evaluator_gives_the_exact_value_over_a_positive_denominator():
+    # the one evaluator, behind eval_at, minor_values_at and the sampler,
+    # gives (N, Q) with Q > 0 and N/Q the value eval_reference computes, for
+    # the constant (empty getter), one-variable (slice getter), multilinear
+    # and higher-power terms alike, and reads no variable past the last one
+    # the polynomial uses
     table = fresh_table()
     rng = random.Random(4242)
-    polys = [Polynomial.zero(table), Polynomial.constant(table, -3),
-             var(table, "a1") - 2, var(table, "a1") * var(table, "b2") - var(table, "b4")]
+    a1, b2, b4 = (var(table, name) for name in ("a1", "b2", "b4"))
+    polys = [Polynomial.zero(table), Polynomial.constant(table, -3), a1 - 2, -7 * b2,
+             b4 ** 3 - 2, a1 * b2 - b4]
     polys += [random_polynomial(rng, table, max_terms=6) for _ in range(60)]
     polys += [random_polynomial(rng, table, max_degree=1) * random_polynomial(rng, table)
               for _ in range(20)]
-    multilinear = powers = 0
+    seen = set()
     for p in polys:
-        numerator = p._numerator_of_samples()
-        top = p._top_exponents()
-        for hi in (1, 100, 10 ** 9):
+        used = [exponents(mono) for mono, _ in p.terms()]
+        top = max((index for exps in used for index in exps), default=-1)
+        length, value_of = p._evaluator()
+        assert length == top + 1, p
+        for hi in (1, 100, 10 ** 6):
             us = [rng.randint(1, hi) for _ in table]
             vs = [rng.randint(1, hi) for _ in table]
-            expected, common = p._scaled_value(top, list(zip(us, vs)))
-            assert numerator(us, vs) == expected, p
+            numerator, common = value_of(us[:length], vs[:length])
             point = RationalPoint(table, tuple(map(Fraction, us, vs)))
-            assert Fraction(expected, common) == eval_reference(p, point)
-        if max(top.values(), default=1) == 1:
-            multilinear += 1
-        else:
-            powers += 1
-    assert multilinear > 10 and powers > 10
+            assert common > 0 and Fraction(numerator, common) == eval_reference(p, point), p
+        # a term picks as many indices as its degree: none is the empty
+        # getter, one the slice getter
+        seen.update(("empty", "slice", "itemgetter")[min(sum(exps.values()), 2)]
+                    for exps in used)
+        seen.add("powers" if any(e > 1 for exps in used for e in exps.values())
+                 else "multilinear")
+        if set().union(*used) != set(range(len(table))):
+            seen.add("unused variable")
+    assert seen == {"empty", "slice", "itemgetter", "powers", "multilinear", "unused variable"}
+
+
+def test_eval_at_checks_the_point_table():
+    # the point's table must name the polynomial's variables at the same
+    # indices, and give every variable the polynomial uses a value
+    table = VariableTable(["x", "y"])
+    x, y = var(table, "x"), var(table, "y")
+    p = x - 2 * y
+    swapped = RationalPoint(VariableTable(["y", "x"]), (Fraction(5), Fraction(1)))
+    with pytest.raises(ValueError, match="'y' where the table has 'x'"):
+        p.eval_at(swapped)
+    short = RationalPoint(VariableTable(["x"]), (Fraction(1),))
+    with pytest.raises(ValueError, match="variable 'y' unassigned"):
+        p.eval_at(short)
+    # a value past the end of the point's table is not a value for y
+    with pytest.raises(ValueError, match="variable 'y' unassigned"):
+        p.eval_at(RationalPoint(VariableTable(["x"]), (Fraction(1), Fraction(5))))
+    with pytest.raises(ValueError, match="variable 'y' unassigned"):
+        p.eval_at(RationalPoint(table, (Fraction(1),)))
+    # an equal table, or one that only adds variables, is checked and read
+    longer = RationalPoint(VariableTable(["x", "y", "z"]), (Fraction(1), Fraction(5), Fraction(2)))
+    assert p.eval_at(longer) == -9
+    assert p.eval_at(RationalPoint(VariableTable(["x", "y"]), (Fraction(1), Fraction(5)))) == -9
+    # the point need only cover the variables up to the last one used
+    assert (3 * x).eval_at(short) == 3
+    assert Polynomial.constant(table, 4).eval_at(RationalPoint(VariableTable(), ())) == 4
 
 
 # ----------------------------------------------------------- canonical form
@@ -423,8 +457,7 @@ def test_monomial_content_and_primitive_part_match_exponent_minima():
 def test_rational_point_construction_and_errors():
     table = VariableTable(["x", "y"])
     p = RationalPoint.from_mapping(table, {"x": "3/4", "y": 2})
-    assert p.value(0) == Fraction(3, 4)
-    assert p.value(1) == 2
+    assert p.values == (Fraction(3, 4), 2)
     assert p.is_strictly_positive()
     assert p.render() == "x=3/4 y=2"
     with pytest.raises(ValueError, match="unassigned"):
