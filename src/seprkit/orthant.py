@@ -233,10 +233,10 @@ def classify_polynomial(p: Polynomial, budget: int = DEFAULT_BUDGET,
     drawn once per (table, seed), at most ``_STORED_SAMPLES`` of them stored.
     p is compiled once by ``Polynomial._evaluator``, the evaluator behind
     ``eval_at``, and each sample's sign is read off N alone, the integer
-    numerator of p's value N/Q with Q > 0, so the loop builds no Fraction.  Only the two witnesses
-    become points, equal to the ones ``Lcg64.point`` would have drawn; a
-    sample's point is one object, shared with every other polynomial that
-    sample witnesses for while some verdict holds it.
+    numerator of p's value N/Q with Q > 0, so the loop builds no Fraction.
+    Only the two witnesses become points, equal to the ones ``Lcg64.point``
+    would have drawn; a sample's point is one object, shared with every
+    other polynomial that sample witnesses for while some verdict holds it.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

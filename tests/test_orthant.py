@@ -479,7 +479,7 @@ def test_sepr_at_point_requires_positive_full_assignment(builtin_matrix):
     short = VariableTable(list(table.names)[:10])
     with pytest.raises(ValueError, match="assign"):
         sepr_at_point(builtin_matrix, RationalPoint.all_ones(short))
-    # every value named in the wrong place, not only the missing ones
+    # a point whose table has the same names in another order is refused too
     reordered = VariableTable(list(table.names)[::-1])
     with pytest.raises(ValueError, match="where the table has"):
         sepr_at_point(builtin_matrix, RationalPoint.all_ones(reordered))
