@@ -8,10 +8,14 @@ is the sign (-1)^(length-1) times the sum of its edge products over the
 ways round it.  A minor whose S no family covers is identically zero.
 ``_family_sums`` evaluates these sums for every cover mask at once and is
 the one determinant engine: it runs over polynomial entries for the minor
-table and ``principal_minor``, and over plain integers for the point-evaluation
-path, whose rows are scaled to clear the denominators of the point.  No
-function here reads the monomial layout of ``polyring``; point values come
-from its one evaluator.
+table and ``principal_minor``.  For the point-evaluation path it runs once
+per matrix over a recording ring, whose values are slots of a straight-line
+program: the support, and so every state, cycle and union of the sums, is
+the same at every point, so the sums are written down once as steps
+slots[t] += slots[a] * slots[b] (``_point_plan``).  Each point then fills
+the entry slots with integers, its rows scaled to clear the point's
+denominators, and replays the steps.  No function here reads the monomial
+layout of ``polyring``; point values come from its one evaluator.
 """
 
 from __future__ import annotations
@@ -167,6 +171,90 @@ def all_principal_minors(matrix: SymMatrix) -> MinorTable:
                       Polynomial.zero(matrix.table))
 
 
+# Slots 0 and 1 of every point plan hold the constants 1 and -1.
+_ONE, _MINUS_ONE = 0, 1
+
+
+class _Slot:
+    """A value of the recording ring: the slot ``index`` of a point plan.
+    A product is the pair of its factors' slots; a negation, like a sum,
+    is written down by ``recorder`` into a new slot."""
+
+    __slots__ = ("index", "recorder")
+
+    def __init__(self, index: int, recorder: "_Recorder"):
+        self.index = index
+        self.recorder = recorder
+
+    def __mul__(self, other: "_Slot") -> tuple[int, int]:
+        return self.index, other.index
+
+    def __neg__(self) -> "_Slot":
+        return self.recorder.total([(self.index, _MINUS_ONE)])
+
+    def __iter__(self) -> Iterator[int]:
+        # a slot that is a term of a sum on its own is the product slot * 1
+        return iter((self.index, _ONE))
+
+
+class _Recorder:
+    """Writes down the sums of one run of ``_family_sums`` as steps
+    (target, a, b), each meaning slots[target] += slots[a] * slots[b], laid
+    end to end in one flat list of ints.  A sum gets a new slot, written
+    only by its own steps, so a slot is final once its sum is recorded and
+    may stand for any later sum equal to it: a sum of the one term 1 * x,
+    or of x alone, is the slot of x itself."""
+
+    def __init__(self):
+        self.size = 2
+        self.steps: list[int] = []
+
+    def slot(self) -> _Slot:
+        self.size += 1
+        return _Slot(self.size - 1, self)
+
+    def total(self, terms: list) -> _Slot:
+        target, steps = self.size, self.steps
+        if len(terms) == 1:
+            a, b = terms[0]
+            if a == _ONE or b == _ONE:
+                return _Slot(b if a == _ONE else a, self)
+            steps += target, a, b
+        else:
+            for a, b in terms:
+                steps += target, a, b
+        self.size = target + 1
+        return _Slot(target, self)
+
+
+def _point_plan(matrix: SymMatrix) -> tuple:
+    """The matrix's point plan (rows, size, steps, outputs), the same at
+    every point, recorded on the first call and kept on the matrix.
+    ``rows[i]`` lists the (slot, compiled evaluator) pairs of row i's
+    nonzero entries, ``steps`` the recorded family sums over ``size``
+    slots, three ints a step, and ``outputs`` the (cover mask, slot) pairs
+    of the nonempty cover masks in increasing order.
+
+    Each nonzero entry gets a slot, and ``_family_sums`` runs once over the
+    recording ring, so every sum and negation it makes becomes steps.
+    Threads that reach a fresh matrix at once may each record a plan; the
+    plans are equal and the last one stored stays, so the race is benign.
+    A matrix past ``MAX_ENUM_DIM`` raises ValueError and stores nothing."""
+    plan = matrix._point_plan
+    if plan is None:
+        recorder = _Recorder()
+        rows, row_entries = [], []
+        for row in matrix.rows:
+            edges = [(j, recorder.slot()) for j, entry in enumerate(row) if entry]
+            rows.append([(slot.index, row[j]._evaluator()[1]) for j, slot in edges])
+            row_entries.append(edges)
+        sums = _family_sums(row_entries, _Slot(_ONE, recorder), recorder.total)
+        plan = matrix._point_plan = (
+            rows, recorder.size, recorder.steps,
+            [(mask, sums[mask].index) for mask in sorted(sums) if mask])
+    return plan
+
+
 def minor_values_at(matrix: SymMatrix, point: RationalPoint) -> dict[int, Fraction]:
     """Exact values at a rational point of the principal minors on the
     matrix's cycle-cover masks, in increasing mask order; every other
@@ -176,27 +264,34 @@ def minor_values_at(matrix: SymMatrix, point: RationalPoint) -> dict[int, Fracti
 
     Substitutes first, so no symbolic minor table is required, and sums in
     integers.  The point becomes integer numerator and denominator lists
-    once, and every entry is evaluated on them by the polynomials' one
-    compiled evaluator.  Row i is scaled by L_i, the lcm of its entries'
-    reduced denominators, so det A[S] = det((LA)[S]) / prod of L_i over i
-    in S, and a Fraction is built once per mask.  The support, and so the
-    masks, come from the symbolic entries: one that evaluates to 0 at the
-    point stays an edge.
+    once, and the matrix's point plan (``_point_plan``, recorded at the
+    first call) does the rest: its entries, compiled once by the
+    polynomials' one evaluator, are evaluated on those lists, and row i is
+    scaled by L_i, the lcm of its entries' reduced denominators, so
+    det A[S] = det((LA)[S]) / prod of L_i over i in S.  The plan's steps
+    then replay the family sums of the scaled entries, and a Fraction is
+    built once per mask.  The support, and so the masks, come from the
+    symbolic entries: one that evaluates to 0 at the point stays an edge.
     """
     n = matrix.n
     us, vs = _point_lists(point, matrix.table, len(matrix.table))
-    row_entries, scales = [], []
-    for row in matrix.rows:
+    rows, size, steps, outputs = _point_plan(matrix)
+    slots = [0] * size
+    slots[_ONE], slots[_MINUS_ONE] = 1, -1
+    scales = []
+    for row in rows:
         values = []
-        for j, entry in enumerate(row):
-            if entry:
-                num, den = entry._evaluator()[1](us, vs)
-                common = gcd(num, den)
-                values.append((j, num // common, den // common))
+        for slot, value_of in row:
+            num, den = value_of(us, vs)
+            common = gcd(num, den)
+            values.append((slot, num // common, den // common))
         scale = lcm(*(den for _, _, den in values))
-        row_entries.append([(j, num * (scale // den)) for j, num, den in values])
+        for slot, num, den in values:
+            slots[slot] = num * (scale // den)
         scales.append(scale)
-    sums = _family_sums(row_entries, 1, sum)
+    steps = iter(steps)
+    for target, a, b in zip(steps, steps, steps):
+        slots[target] += slots[a] * slots[b]
     # products[m] multiplies the L_i of rows low..low+7 whose bit is set in
     # m, so a mask's denominator takes one lookup per byte of the mask
     chunks = []
@@ -206,10 +301,9 @@ def minor_values_at(matrix: SymMatrix, point: RationalPoint) -> dict[int, Fracti
             products += [product * scale for product in products]
         chunks.append((low, products))
     values = {}
-    for mask in sorted(sums):
-        if mask:
-            scale = 1
-            for low, products in chunks:
-                scale *= products[mask >> low & 255]
-            values[mask] = Fraction(sums[mask], scale)
+    for mask, slot in outputs:
+        scale = 1
+        for low, products in chunks:
+            scale *= products[mask >> low & 255]
+        values[mask] = Fraction(slots[slot], scale)
     return values

@@ -491,9 +491,10 @@ class Polynomial:
         as often as its exponent, so a call reads every term as
         ``c * prod(g(us)) * (Q // prod(g(vs)))`` without walking the
         monomial tuple; Q is picked the same way.  This is the one evaluator:
-        ``eval_at`` calls it once, ``minor_values_at`` once per matrix entry
-        over lists built once per point, and the orthant sampler compiles
-        once per polynomial and reads N's sign at every sample.
+        ``eval_at`` calls it once; ``minor_values_at`` compiles each matrix
+        entry once, into the matrix's point plan, and calls it at every
+        point on lists built once per point; and the orthant sampler
+        compiles once per polynomial and reads N's sign at every sample.
         """
         terms = [(coeff, _index_getter(_mono_indices(mono)))
                  for mono, coeff in self._terms.items()]

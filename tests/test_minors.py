@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 from functools import partial
 
@@ -17,8 +19,10 @@ from seprkit import (
     VariableTable,
     all_principal_minors,
     minor_values_at,
+    paper_matrix,
     parse_entry,
     principal_minor,
+    sepr_at_point,
 )
 from seprkit.minors import MAX_ENUM_DIM, _family_sums
 from _oracles import (
@@ -319,21 +323,27 @@ def test_point_values_scale_rows_with_coprime_denominators():
     assert seen == {"empty row", "vanishing", "degree 3", "denominator > 10^5"}
 
 
+def sparse_row_scaled_case(rng, n):
+    """``row_scaled_case`` of order n cut to a sparse support: a cycle
+    through every row, loops at both ends of each byte of a mask and two
+    chords, so its cover masks are few."""
+    m, point = row_scaled_case(rng.randint, n, SPARSE_ROW_ENTRIES)
+    support = ({(i, (i + 1) % n) for i in range(n)}
+               | {(i, i) for i in (0, 7, 8, 15, 16) if i < n}
+               | {(i, (i + 2) % n) for i in rng.sample(range(n), 2)})
+    zero = Polynomial.zero(m.table)
+    return SymMatrix(m.table, [[entry if (i, j) in support else zero
+                                for j, entry in enumerate(row)]
+                               for i, row in enumerate(m.rows)]), point
+
+
 def test_point_values_scale_rows_across_mask_bytes():
     # the denominator of a mask multiplies one table entry per byte of the
-    # mask, so orders 9 and 17 reach the second and the third byte; the
-    # support is a cycle through every row, loops at both ends of each byte
-    # and two chords, so its cover masks are few
+    # mask, so orders 9 and 17 reach the second and the third byte
     rng = random.Random(9292)
     spans = set()
     for n in (9, 9, 17, 17, 17):
-        m, point = row_scaled_case(rng.randint, n, SPARSE_ROW_ENTRIES)
-        support = ({(i, (i + 1) % n) for i in range(n)}
-                   | {(i, i) for i in (0, 7, 8, 15, 16) if i < n}
-                   | {(i, (i + 2) % n) for i in rng.sample(range(n), 2)})
-        zero = Polynomial.zero(m.table)
-        m = SymMatrix(m.table, [[entry if (i, j) in support else zero
-                                 for j, entry in enumerate(row)] for i, row in enumerate(m.rows)])
+        m, point = sparse_row_scaled_case(rng, n)
         values = minor_values_at(m, point)
         minors = all_principal_minors(m)
         assert list(values) == sorted(values)
@@ -358,6 +368,174 @@ def test_point_values_scale_rows_property():
         check_row_scaled_values(m, point)
 
     check()
+
+
+# ------------------------------------------------- the stored point plan
+
+
+def row_scaled_point(rng, table, vanish):
+    """A fresh point for a ``row_scaled_case`` table, with the case's
+    denominators; b<i> = a<i> for the rows i where ``vanish(i)``, so an
+    entry a<i> - b<i> is 0 there."""
+    values = {}
+    for i, (prime, top) in enumerate(ROW_DENOMINATORS):
+        a = Fraction(rng.randint(1, 10 ** 6), prime ** rng.randint(0, top))
+        b = a if vanish(i) else Fraction(rng.randint(1, 10 ** 6), prime ** rng.randint(0, top))
+        values.update({f"a{i}": a, f"b{i}": b})
+    return RationalPoint.from_mapping(table, {name: values[name] for name in table.names})
+
+
+def vanishing_entries(m, point):
+    return {(i, j) for i, row in enumerate(m.rows) for j, entry in enumerate(row)
+            if entry and not entry.eval_at(point)}
+
+
+def cover_masks(m):
+    """The cycle-cover masks of m's support: by trying permutations up to
+    order 7, and beyond as the nonzero minors of the matrix that puts a
+    variable of its own on every edge, where no two families cancel."""
+    if m.n <= 7:
+        return cycle_cover_masks_reference(m.rows)
+    table = VariableTable()
+    generic = SymMatrix(table, [[Polynomial.variable(table, f"e{i}_{j}") if entry
+                                 else Polynomial.zero(table) for j, entry in enumerate(row)]
+                                for i, row in enumerate(m.rows)])
+    return list(all_principal_minors(generic).entries)
+
+
+def check_point_values(values, m, minors, covers, point):
+    """``values`` keys the cover masks in increasing order, and each is the
+    symbolic minor's value and the Leibniz sum of the evaluated entries."""
+    assert list(values) == covers
+    assert all(type(value) is Fraction for value in values.values())
+    grid = [[eval_reference(entry, point) for entry in row] for row in m.rows]
+    for mask, value in values.items():
+        assert value == minors.minor(mask).eval_at(point), f"mask {mask:b}"
+        sub = principal_subgrid(grid, mask)
+        det = (leibniz_det(sub) if len(sub) <= 6 else
+               sparse_perm_det([[(j, x) for j, x in enumerate(row) if symbolic[j]]
+                                for row, symbolic in zip(sub, principal_subgrid(m.rows, mask))],
+                               0))
+        assert value == det, f"mask {mask:b}"
+
+
+def test_a_stored_plan_matches_the_oracles_at_every_point():
+    # one matrix object at six points, interleaved with a second matrix and
+    # an equal but distinct copy: the plan is recorded once per object and
+    # every later point replays it; a point where some a<i> - b<i> vanishes
+    # is followed by one where it does not, and the keys stay the cover
+    # masks of the support
+    rng = random.Random(7373)
+    patterns = [lambda i: True, lambda i: False, lambda i: rng.random() < 0.5,
+                lambda i: True, lambda i: rng.random() < 0.5, lambda i: False]
+    revived = set()
+    for n in (4, 5, 9, 17):
+        def case():
+            if n <= 5:
+                return row_scaled_case(rng.randint, n)[0]
+            return sparse_row_scaled_case(rng, n)[0]
+
+        first, second = case(), case()
+        copy = SymMatrix(first.table, first.rows)
+        assert copy == first and copy is not first
+        oracles = {id(m): (all_principal_minors(m), cover_masks(m)) for m in (first, second)}
+        oracles[id(copy)] = oracles[id(first)]
+        plans, previous = {}, None
+        for k, vanish in enumerate(patterns):
+            order = [first, second, copy]
+            for m in order[k % 3:] + order[:k % 3]:
+                point = row_scaled_point(rng, m.table, vanish)
+                minors, covers = oracles[id(m)]
+                values = minor_values_at(m, point)
+                check_point_values(values, m, minors, covers, point)
+                plans.setdefault(id(m), m._point_plan)
+                assert m._point_plan is plans[id(m)]
+                if m is first:
+                    vanished = vanishing_entries(m, point)
+                    if previous and previous - vanished:
+                        revived.add(n)
+                    previous = vanished
+        assert plans[id(copy)] is not plans[id(first)]
+    assert revived == {4, 5, 9, 17}
+
+
+def test_a_stored_plan_keeps_every_check_of_the_point():
+    table = VariableTable()
+    n = MAX_ENUM_DIM + 1
+    big = SymMatrix(table, [[Polynomial.zero(table)] * n for _ in range(n)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="refusing"):
+            minor_values_at(big, RationalPoint.all_ones(table))
+        assert big._point_plan is None
+    rng = random.Random(7474)
+    m = paper_matrix()
+    minors = all_principal_minors(m)
+    covers = cover_masks(m)
+    names = list(m.table.names)
+
+    def check(point):
+        check_point_values(minor_values_at(m, point), m, minors, covers, point)
+
+    check(random_positive_point(rng, m.table))
+    plan = m._point_plan
+    assert plan is not None
+    values = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in names]
+    reordered = VariableTable(names[::-1])
+    with pytest.raises(ValueError, match="where the table has"):
+        minor_values_at(m, RationalPoint(reordered, tuple(values)))
+    short = VariableTable(names[:10])
+    with pytest.raises(ValueError, match="unassigned"):
+        minor_values_at(m, RationalPoint(short, tuple(values[:10])))
+    check(random_positive_point(rng, m.table))
+    values[5] = Fraction(0)
+    with pytest.raises(ValueError, match="strictly positive"):
+        sepr_at_point(m, RationalPoint(m.table, tuple(values)))
+    values[5] = Fraction(-1)
+    with pytest.raises(ValueError, match="strictly positive"):
+        sepr_at_point(m, RationalPoint(m.table, tuple(values)))
+    check(random_positive_point(rng, m.table))
+    assert m._point_plan is plan
+
+
+def test_threads_evaluating_a_fresh_matrix_give_the_serial_values():
+    # four threads reach a fresh matrix at once, so each may record a plan
+    # and store it over another's; every thread must still read the values
+    # that one thread reads from a copy of the matrix
+    rng = random.Random(7575)
+    model, _ = sparse_row_scaled_case(rng, 17)
+    points = [row_scaled_point(rng, model.table, lambda i: rng.random() < 0.5)
+              for _ in range(4)]
+    serial = SymMatrix(model.table, model.rows)
+    expected = [minor_values_at(serial, point) for point in points]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            m = SymMatrix(model.table, model.rows)
+            start = threading.Barrier(4)
+            results, errors = {}, []
+
+            def run(worker):
+                try:
+                    start.wait(timeout=30)
+                    results[worker] = [minor_values_at(m, points[(worker + k) % 4])
+                                       for k in range(4)]
+                except Exception as exc:  # reported by the main thread
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run, args=(worker,)) for worker in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert errors == []
+            assert sorted(results) == list(range(4))
+            for worker, found in results.items():
+                assert found == [expected[(worker + k) % 4] for k in range(4)]
+            assert m._point_plan is not None
+    finally:
+        sys.setswitchinterval(previous)
 
 
 def test_masks_of_order_equals_the_popcount_scan():
