@@ -6,14 +6,13 @@ diagonal entry is a cycle of length 1) whose vertices are exactly S.  Each
 family contributes the product of its cycles' weights, and a cycle's weight
 is the sign (-1)^(length-1) times the sum of its edge products over the
 ways round it.  A minor whose S no family covers is identically zero.
-``_family_sums`` evaluates these sums for every cover mask at once and is
-the one determinant engine: it runs over polynomial entries for the minor
-table and ``principal_minor``.  For the point-evaluation path it runs once
-per matrix over a recording ring, whose values are slots of a straight-line
-program: the support, and so every state, cycle and union of the sums, is
-the same at every point, so the sums are written down once as steps
-slots[t] += slots[a] * slots[b] (``_point_plan``).  Each point then fills
-the entry slots with integers, its rows scaled to clear the point's
+``_family_sums`` is the one determinant engine.  It computes no value: from
+the support alone it records these sums for every cover mask at once as a
+plan, a straight-line program of steps slots[t] += slots[a] * slots[b].
+One recorded plan is replayed over polynomials, for the minor table and
+``principal_minor``, and over integers, for the point path
+(``_point_plan``), which records it once per matrix: each point fills the
+entry slots with integers, its rows scaled to clear the point's
 denominators, and replays the steps.  No function here reads the monomial
 layout of ``polyring``; point values come from its one evaluator.
 """
@@ -21,8 +20,9 @@ layout of ``polyring``; point values come from its one evaluator.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from itertools import groupby
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .polyring import Polynomial, RationalPoint, _point_lists
@@ -34,18 +34,25 @@ __all__ = ["MinorTable", "principal_minor", "all_principal_minors", "minor_value
 # 2^n subsets; full enumeration is refused beyond this.
 MAX_ENUM_DIM = 24
 
+# Slots 0 and 1 of every plan hold the constants 1 and -1.
+_ONE, _MINUS_ONE = 0, 1
 
-def _family_sums(row_entries, one, total, required=0) -> dict:
-    """{mask: det A[mask]} for every mask that contains ``required`` and is
-    either 0 (the empty matrix, ``one``) or a union of pairwise disjoint
-    support cycles; every other principal minor is zero.
 
-    ``row_entries[i]`` lists the (column, value) pairs of row i's support,
-    the edges i -> column of the support digraph.  A value may be zero, as
-    an entry that vanishes at a point is: the keys depend on the support
-    alone, and a sum that cancels to zero keeps its key.  ``total`` adds a
-    nonempty list of values in one step, so a sum is built once per
-    round rather than once per term.
+def _family_sums(row_entries, required=0) -> tuple[int, list[int], dict[int, int]]:
+    """The plan (size, steps, {mask: slot}) of det A[mask] for every mask
+    that contains ``required`` and is either 0 (the empty matrix, slot
+    ``_ONE``) or a union of pairwise disjoint support cycles; every other
+    principal minor is zero.  No value is computed here.
+
+    ``row_entries[i]`` lists the (column, slot) pairs of row i's support,
+    the edges i -> column of the support digraph, whose entries fill slots
+    2, 3, ... in order.  Each sum gets the next free slot and writes its
+    terms as steps (target, a, b), meaning slots[target] += slots[a] *
+    slots[b], into one flat list of ints, so a sum's steps are contiguous
+    and the sums' slots ascend.  A sum of the lone term 1 * x is the slot
+    of x itself.  The keys depend on the support alone: an entry that is
+    zero, as one may be at a point, is still an edge, and a sum that
+    cancels to zero keeps its key.
 
     For v = 0 up to n-1, a path-sum DP walks the paths that start at v and
     then visit only vertices above v.  A state is (last vertex, visited
@@ -67,45 +74,83 @@ def _family_sums(row_entries, one, total, required=0) -> dict:
     if not required and len(row_entries) > MAX_ENUM_DIM:
         raise ValueError(f"refusing to enumerate 2^{len(row_entries)} principal minors "
                          f"(n > {MAX_ENUM_DIM})")
-    sums = {0: one}
+    size, steps = 2 + sum(map(len, row_entries)), []
+
+    def total(terms: list[tuple[int, int]]) -> int:
+        nonlocal size
+        if len(terms) == 1 and _ONE in terms[0]:
+            a, b = terms[0]
+            return b if a == _ONE else a
+        target = size
+        for a, b in terms:
+            steps.extend((target, a, b))
+        size = target + 1
+        return target
+
+    sums = {0: _ONE}
     for v in range(len(row_entries)):
         start, above = 1 << v, -1 << (v + 1)
-        closed, layer = {}, {(v, start): one}
+        closed, layer = {}, {(v, start): _ONE}
         while layer:
             extended = {}
             for (u, visited), path in layer.items():
-                for w, value in row_entries[u]:
+                for w, slot in row_entries[u]:
                     bit = 1 << w
                     if bit == start:
-                        closed.setdefault(visited, []).append(path * value)
+                        closed.setdefault(visited, []).append((path, slot))
                     elif bit & above and not bit & visited:
-                        extended.setdefault((w, visited | bit), []).append(path * value)
+                        extended.setdefault((w, visited | bit), []).append((path, slot))
             layer = {state: total(paths) for state, paths in extended.items()}
         joined = {}
         for cycle, paths in closed.items():
             weight = total(paths)
             if not cycle.bit_count() & 1:
-                weight = -weight
+                weight = total([(weight, _MINUS_ONE)])
             for r, base in sums.items():
                 if not r & cycle:
-                    joined.setdefault(r | cycle, []).append(base * weight)
+                    joined.setdefault(r | cycle, []).append((base, weight))
         for mask, terms in joined.items():
             if mask in sums:
-                terms.append(sums[mask])
+                terms.append((sums[mask], _ONE))
             sums[mask] = total(terms)
         if required & start:
-            sums = {r: value for r, value in sums.items() if r & start}
-    return sums
+            sums = {r: slot for r, slot in sums.items() if r & start}
+    return size, steps, sums
+
+
+def _support(rows, mask: int) -> tuple[list, list]:
+    """(row_entries, entries) of the rows and columns of ``mask``: the
+    (column, slot) pairs that ``_family_sums`` takes, with each nonzero
+    entry in the next slot from 2 on, row by row, and the entries in slot
+    order."""
+    row_entries, entries = [], []
+    for i, row in enumerate(rows):
+        edges = []
+        if mask >> i & 1:
+            for j, entry in enumerate(row):
+                if entry and mask >> j & 1:
+                    edges.append((j, 2 + len(entries)))
+                    entries.append(entry)
+        row_entries.append(edges)
+    return row_entries, entries
 
 
 def _symbolic_sums(matrix: SymMatrix, mask: int, required: int) -> dict:
-    """``_family_sums`` over the polynomial entries of A[mask]: rows and
-    columns off the mask are dropped, and so are the rows above its top."""
-    table, rows = matrix.table, matrix.rows[:mask.bit_length()]
-    row_entries = [[(j, entry) for j, entry in enumerate(row) if entry and mask >> j & 1]
-                   if mask >> i & 1 else [] for i, row in enumerate(rows)]
-    return _family_sums(row_entries, Polynomial.one(table), partial(Polynomial.sum_of, table),
-                        required)
+    """{mask: polynomial} of the family sums of A[mask], whose rows above
+    the mask's top are dropped: the plan of ``_family_sums`` replayed over
+    polynomials, one ``Polynomial.sum_of`` per recorded sum.  A factor 1
+    or -1 is applied without a product, which would copy every term."""
+    table = matrix.table
+    row_entries, entries = _support(matrix.rows[:mask.bit_length()], mask)
+    _, steps, sums = _family_sums(row_entries, required)
+    one = Polynomial.one(table)
+    values = [one, -one, *entries]
+    steps = iter(steps)
+    for _, group in groupby(zip(steps, steps, steps), itemgetter(0)):
+        values.append(Polynomial.sum_of(table, [
+            values[b] if a == _ONE else values[a] if b == _ONE else
+            -values[a] if b == _MINUS_ONE else values[a] * values[b] for _, a, b in group]))
+    return {key: values[slot] for key, slot in sums.items()}
 
 
 def principal_minor(matrix: SymMatrix, mask: int) -> Polynomial:
@@ -171,87 +216,28 @@ def all_principal_minors(matrix: SymMatrix) -> MinorTable:
                       Polynomial.zero(matrix.table))
 
 
-# Slots 0 and 1 of every point plan hold the constants 1 and -1.
-_ONE, _MINUS_ONE = 0, 1
-
-
-class _Slot:
-    """A value of the recording ring: the slot ``index`` of a point plan.
-    A product is the pair of its factors' slots; a negation, like a sum,
-    is written down by ``recorder`` into a new slot."""
-
-    __slots__ = ("index", "recorder")
-
-    def __init__(self, index: int, recorder: "_Recorder"):
-        self.index = index
-        self.recorder = recorder
-
-    def __mul__(self, other: "_Slot") -> tuple[int, int]:
-        return self.index, other.index
-
-    def __neg__(self) -> "_Slot":
-        return self.recorder.total([(self.index, _MINUS_ONE)])
-
-    def __iter__(self) -> Iterator[int]:
-        # a slot that is a term of a sum on its own is the product slot * 1
-        return iter((self.index, _ONE))
-
-
-class _Recorder:
-    """Writes down the sums of one run of ``_family_sums`` as steps
-    (target, a, b), each meaning slots[target] += slots[a] * slots[b], laid
-    end to end in one flat list of ints.  A sum gets a new slot, written
-    only by its own steps, so a slot is final once its sum is recorded and
-    may stand for any later sum equal to it: a sum of the one term 1 * x,
-    or of x alone, is the slot of x itself."""
-
-    def __init__(self):
-        self.size = 2
-        self.steps: list[int] = []
-
-    def slot(self) -> _Slot:
-        self.size += 1
-        return _Slot(self.size - 1, self)
-
-    def total(self, terms: list) -> _Slot:
-        target, steps = self.size, self.steps
-        if len(terms) == 1:
-            a, b = terms[0]
-            if a == _ONE or b == _ONE:
-                return _Slot(b if a == _ONE else a, self)
-            steps += target, a, b
-        else:
-            for a, b in terms:
-                steps += target, a, b
-        self.size = target + 1
-        return _Slot(target, self)
-
-
 def _point_plan(matrix: SymMatrix) -> tuple:
     """The matrix's point plan (rows, size, steps, outputs), the same at
     every point, recorded on the first call and kept on the matrix.
     ``rows[i]`` lists the (slot, compiled evaluator) pairs of row i's
-    nonzero entries, ``steps`` the recorded family sums over ``size``
+    nonzero entries, ``steps`` the plan of the family sums over ``size``
     slots, three ints a step, and ``outputs`` the (cover mask, slot) pairs
     of the nonempty cover masks in increasing order.
 
-    Each nonzero entry gets a slot, and ``_family_sums`` runs once over the
-    recording ring, so every sum and negation it makes becomes steps.
+    Each nonzero entry gets a slot, and ``_family_sums`` records the plan
+    once; each point replays it over integers, as the symbolic paths
+    replay it over polynomials.
     Threads that reach a fresh matrix at once may each record a plan; the
     plans are equal and the last one stored stays, so the race is benign.
     A matrix past ``MAX_ENUM_DIM`` raises ValueError and stores nothing."""
     plan = matrix._point_plan
     if plan is None:
-        recorder = _Recorder()
-        rows, row_entries = [], []
-        for row in matrix.rows:
-            edges = [(j, recorder.slot()) for j, entry in enumerate(row) if entry]
-            rows.append([(slot.index, row[j]._evaluator()[1]) for j, slot in edges])
-            row_entries.append(edges)
-        sums = _family_sums(row_entries, _Slot(_ONE, recorder), recorder.total)
+        row_entries, entries = _support(matrix.rows, (1 << matrix.n) - 1)
+        size, steps, sums = _family_sums(row_entries)
+        rows = [[(slot, entries[slot - 2]._evaluator()[1]) for _, slot in edges]
+                for edges in row_entries]
         plan = matrix._point_plan = (
-            rows, recorder.size, recorder.steps,
-            [(mask, sums[mask].index) for mask in sorted(sums) if mask])
+            rows, size, steps, [(mask, sums[mask]) for mask in sorted(sums) if mask])
     return plan
 
 

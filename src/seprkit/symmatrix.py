@@ -76,8 +76,9 @@ class SymMatrix:
                     raise ValueError("entry over a different variable table")
         self.table = table
         self.rows: tuple[tuple[Polynomial, ...], ...] = tuple(tuple(row) for row in rows)
-        # The point path's recorded plan (``minors._point_plan``), made at
-        # the first point evaluation, never here.
+        # The plan of the family sums that the point path replays over
+        # integers (``minors._point_plan``), recorded at the first point
+        # evaluation, never here.
         self._point_plan = None
 
     @property

@@ -87,6 +87,40 @@ def sparse_perm_det(rows, zero):
     return result
 
 
+def replay_plan(plan, entries) -> dict:
+    """{key: value} of a recorded plan (size, steps, {key: slot}) replayed
+    over ints: slots 0 and 1 hold 1 and -1, ``entries`` fill the slots
+    from 2 on, and each step (target, a, b) adds slots[a] * slots[b] into
+    slots[target]."""
+    size, steps, outputs = plan
+    slots = [1, -1, *entries] + [0] * (size - 2 - len(entries))
+    for k in range(0, len(steps), 3):
+        target, a, b = steps[k:k + 3]
+        slots[target] += slots[a] * slots[b]
+    return {key: slots[slot] for key, slot in outputs.items()}
+
+
+def gauss_det(rows) -> Fraction:
+    """Determinant of a square grid of rationals by Gaussian elimination in
+    Fractions, swapping in a nonzero pivot where one is needed; 1 for the
+    empty grid."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(work)):
+        pivot = next((r for r in range(col, len(work)) if work[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        for r in range(col + 1, len(work)):
+            factor = work[r][col] / work[col][col]
+            if factor:
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return det
+
+
 def principal_subgrid(grid, mask):
     """The rows and columns of ``grid`` whose bit is set in ``mask`` (bit i
     selects row and column i), picked without the package's code."""

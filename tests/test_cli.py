@@ -254,7 +254,12 @@ def test_a_reader_that_closes_the_pipe_is_not_bad_input():
 def test_invalid_flags_exit_three():
     assert run_cli("verify-paper", "--bogus")[0] == 3
     assert run_cli("verify-paper", "--budget", "0")[0] == 3
-    assert run_cli("verify-paper", "--budget", "x")[0] == 3
+    for args in (("verify-paper", "--budget", "x"), ("classify", "--budget", "x"),
+                 ("classify", "--k", "1.5"), ("classify", "--k", "0")):
+        code, _, err = run_cli(*args)
+        assert code == 3, args
+        assert f"expected a positive integer, got '{args[-1]}'" in err, args
+        assert "_positive_int" not in err, args
     assert run_cli("nonsense")[0] == 3
     assert run_cli()[0] == 3
 

@@ -6,7 +6,6 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -29,10 +28,12 @@ from _oracles import (
     constant_matrix,
     cycle_cover_masks_reference,
     eval_reference,
+    gauss_det,
     leibniz_det,
     principal_subgrid,
     random_int_grid,
     random_positive_point,
+    replay_plan,
     sparse_perm_det,
     transposed,
 )
@@ -497,6 +498,31 @@ def test_a_stored_plan_keeps_every_check_of_the_point():
     assert m._point_plan is plan
 
 
+def test_a_dense_plan_matches_gaussian_elimination_at_two_points():
+    # every one of the 1,023 nonempty masks of a 10x10 matrix of distinct
+    # variables is a cover, so the plan is dense; row i's values have
+    # powers of the i-th prime as denominators, so each row has a scale of
+    # its own, and rows 8 and 9 put the masks' scales across two bytes
+    n = 10
+    table = VariableTable()
+    names = [[f"x{i}_{j}" for j in range(n)] for i in range(n)]
+    m = SymMatrix(table, [[Polynomial.variable(table, name) for name in row] for row in names])
+    rng = random.Random(1010)
+    plans = set()
+    for _ in range(2):
+        grid = [[Fraction(rng.randint(1, 10 ** 6), prime ** rng.randint(1, top)) for _ in row]
+                for row, (prime, top) in zip(names, ROW_DENOMINATORS)]
+        assert len({math.lcm(*(x.denominator for x in row)) for row in grid}) == n
+        point = RationalPoint.from_mapping(table, {name: x for row_names, row in zip(names, grid)
+                                                   for name, x in zip(row_names, row)})
+        values = minor_values_at(m, point)
+        assert list(values) == list(range(1, 1 << n))
+        for mask, value in values.items():
+            assert value == gauss_det(principal_subgrid(grid, mask)), f"mask {mask:b}"
+        plans.add(id(m._point_plan))
+    assert len(plans) == 1
+
+
 def test_threads_evaluating_a_fresh_matrix_give_the_serial_values():
     # four threads reach a fresh matrix at once, so each may record a plan
     # and store it over another's; every thread must still read the values
@@ -583,6 +609,18 @@ def support_entries(grid):
     return [[(j, x) for j, x in enumerate(row) if x] for row in grid]
 
 
+def family_sums(rows, required=0):
+    """``_family_sums`` of rows of (column, int) pairs, its plan replayed
+    over ints: the {mask: value} it keys and the number of sums it records,
+    each in a slot of its own past the entries'."""
+    row_entries, entries = [], []
+    for row in rows:
+        row_entries.append([(j, 2 + len(entries) + k) for k, (j, _) in enumerate(row)])
+        entries += [x for _, x in row]
+    plan = _family_sums(row_entries, required)
+    return replay_plan(plan, entries), plan[0] - 2 - len(entries)
+
+
 def test_cycle_cover_masks_match_the_permutation_oracle():
     # the keys of the family sums are mask 0 and the cycle-cover masks, and
     # every value, as every minor off the keys, is the Leibniz determinant
@@ -592,61 +630,62 @@ def test_cycle_cover_masks_match_the_permutation_oracle():
         n = rng.randint(1, 7)
         grid, shape = support_grid(rng, n)
         shapes.add(shape)
-        sums = _family_sums(support_entries(grid), 1, sum)
+        sums, _ = family_sums(support_entries(grid))
         assert sorted(sums) == [0] + cycle_cover_masks_reference(grid), f"trial {trial}: {grid}"
         for mask in range(1 << n):
             assert sums.get(mask, 0) == leibniz_det(principal_subgrid(grid, mask)), \
                 f"trial {trial}, mask {mask:b}: {grid}"
         # with a required mask, exactly the keys that contain it remain
         required = rng.randrange(1 << n)
-        assert _family_sums(support_entries(grid), 1, sum, required) == {
+        assert family_sums(support_entries(grid), required)[0] == {
             mask: value for mask, value in sums.items() if mask & required == required}
     assert len(shapes) == 6
 
 
 def test_cycle_cover_masks_of_known_supports():
-    assert _family_sums(support_entries([[0] * 3] * 3), 1, sum) == {0: 1}
+    assert family_sums(support_entries([[0] * 3] * 3))[0] == {0: 1}
     diagonal = [[2, 0, 0], [0, 3, 0], [0, 0, 5]]
-    assert _family_sums(support_entries(diagonal), 1, sum) == {
+    assert family_sums(support_entries(diagonal))[0] == {
         0: 1, 0b001: 2, 0b010: 3, 0b011: 6, 0b100: 5, 0b101: 10, 0b110: 15, 0b111: 30}
     # a 2-cycle takes the sign -1
-    assert _family_sums(support_entries([[0, 2], [3, 0]]), 1, sum) == {0: 1, 0b11: -6}
+    assert family_sums(support_entries([[0, 2], [3, 0]]))[0] == {0: 1, 0b11: -6}
     # the 3-cycle 0 -> 1 -> 2 -> 0 and a loop at 1
     three_cycle = [[0, 2, 0], [0, 3, 5], [7, 0, 0]]
-    assert _family_sums(support_entries(three_cycle), 1, sum) == {0: 1, 0b010: 3, 0b111: 70}
+    assert family_sums(support_entries(three_cycle))[0] == {0: 1, 0b010: 3, 0b111: 70}
     # a zero-valued entry is still an edge, so its masks stay keys
-    assert _family_sums([[(0, 0)], [(1, 4)]], 1, sum) == {0: 1, 0b01: 0, 0b10: 4, 0b11: 0}
-    ones = _family_sums(support_entries([[1] * 10] * 10), 1, sum)
+    assert family_sums([[(0, 0)], [(1, 4)]])[0] == {0: 1, 0b01: 0, 0b10: 4, 0b11: 0}
+    ones, _ = family_sums(support_entries([[1] * 10] * 10))
     assert sorted(ones) == list(range(1 << 10))
     assert all(ones[mask] == (mask.bit_count() <= 1) for mask in ones)
 
 
 def test_determinant_of_a_sparse_matrix_is_linear_in_its_order(monkeypatch):
     # a union that misses a done vertex is dropped, so a diagonal matrix
-    # takes two sums per vertex and a tridiagonal one a path per pair
-    # (i, j); an engine that kept every union would build 2^n of them.
+    # records fewer than two sums per vertex and a tridiagonal one a path per
+    # pair (i, j); an engine that kept every union would record 2^n of
+    # them, which order 12 shows before order 40 would hang.
     # principal_minor drops the rows and columns off its mask, so a proper
-    # sub-mask builds exactly the sums of the extracted submatrix
-    def counted(limit, add=sum):
-        def total(terms):
-            total.calls += 1
-            assert total.calls <= limit, "the union step is building every cover mask"
-            return add(terms)
-        total.calls = 0
-        return total
+    # sub-mask replays exactly the sums of the extracted submatrix's plan
+    def check(grid, required, limit, expected):
+        sums, recorded = family_sums(support_entries(grid), required)
+        assert recorded <= limit, "the union step is building every cover mask"
+        assert sums == {required: expected}
+        return recorded
 
     def check_sub_mask(grid, mask, limit, expected):
         sub = principal_subgrid(grid, mask)
-        sub_total, sub_full = counted(limit), (1 << len(sub)) - 1
-        assert _family_sums(support_entries(sub), 1, sub_total, sub_full) == {
-            sub_full: expected}
-        # principal_minor sums its polynomials through Polynomial.sum_of
-        table = VariableTable()
-        total = counted(limit, partial(Polynomial.sum_of, table))
+        recorded = check(sub, (1 << len(sub)) - 1, limit, expected)
+        # principal_minor makes one Polynomial.sum_of per recorded sum
+        table, sum_of, calls = VariableTable(), Polynomial.sum_of, []
+
+        def counted(table, polys):
+            calls.append(len(polys))
+            return sum_of(table, polys)
+
         with monkeypatch.context() as patch:
-            patch.setattr(Polynomial, "sum_of", staticmethod(lambda _, polys: total(polys)))
+            patch.setattr(Polynomial, "sum_of", staticmethod(counted))
             assert principal_minor(int_matrix(table, grid), mask) == expected
-        assert total.calls == sub_total.calls
+        assert len(calls) == recorded
 
     def continuant(grid):
         before, det = 1, grid[0][0]
@@ -654,20 +693,18 @@ def test_determinant_of_a_sparse_matrix_is_linear_in_its_order(monkeypatch):
             before, det = det, grid[k][k] * det - grid[k][k - 1] * grid[k - 1][k] * before
         return det
 
-    n = 40
-    diagonal = [[i + 2 if i == j else 0 for j in range(n)] for i in range(n)]
-    full = (1 << n) - 1
-    assert _family_sums(support_entries(diagonal), 1, counted(2 * n), full) == {
-        full: math.prod(range(2, n + 2))}
+    for n in (12, 40):
+        diagonal = [[i + 2 if i == j else 0 for j in range(n)] for i in range(n)]
+        full = (1 << n) - 1
+        check(diagonal, full, 2 * n, math.prod(range(2, n + 2)))
     mask = full & ~(1 << 3) & ~(1 << 17) & ~(1 << 39)
     check_sub_mask(diagonal, mask, 2 * n, math.prod(i + 2 for i in range(n) if mask >> i & 1))
-    n = 30
-    rng = random.Random(30)
-    grid = [[rng.choice([-3, -1, 2, 5]) if abs(i - j) <= 1 else 0 for j in range(n)]
-            for i in range(n)]
-    full = (1 << n) - 1
-    assert _family_sums(support_entries(grid), 1, counted(n * n), full) == {
-        full: continuant(grid)}
+    for n in (12, 30):
+        rng = random.Random(n)
+        grid = [[rng.choice([-3, -1, 2, 5]) if abs(i - j) <= 1 else 0 for j in range(n)]
+                for i in range(n)]
+        full = (1 << n) - 1
+        check(grid, full, n * n, continuant(grid))
     mask = full & ~(1 << 0) & ~(1 << 12) & ~(1 << 13) & ~(1 << 29)
     check_sub_mask(grid, mask, n * n, continuant(principal_subgrid(grid, mask)))
 
