@@ -392,7 +392,10 @@ def analyze(matrix: SymMatrix, budget: int = DEFAULT_BUDGET,
     """The whole pipeline on any square matrix: enumerate the principal
     minors, classify each nonzero one once (``budget`` and ``seed`` drive
     the witness search), certify every order k = 1..n and count the classes
-    per order, the C(n,k) minus stored k-minors as Zero."""
+    per order, the C(n,k) minus stored k-minors as Zero.  A budget below 1
+    raises ValueError before any work, whatever the matrix."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     minors = all_principal_minors(matrix)
     classes = {mask: classify_polynomial(m, budget=budget, seed=seed)
                for mask, m in minors.entries.items()}
@@ -419,6 +422,8 @@ def _expected_orders(expected: Mapping, n: int) -> tuple[list[int], list[int], l
         raise ValueError('expected "sepr" must be a list of lists of "0", "+" and "-"')
     if not (isinstance(mixed, list) and all(type(k) is int for k in mixed)):
         raise ValueError('expected "mixed_orders" must be a list of integers')
+    if len(set(mixed)) != len(mixed):
+        raise ValueError('expected "mixed_orders" must not repeat an order')
     sepr = [frozenset(signs) for signs in sepr]
     if len(sepr) != n:
         raise ValueError(f"expected sepr-sequence has {len(sepr)} orders, "

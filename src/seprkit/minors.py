@@ -12,16 +12,16 @@ plan, a straight-line program of steps slots[t] += slots[a] * slots[b].
 One recorded plan is replayed over polynomials, for the minor table and
 ``principal_minor``, and over integers, for the point path
 (``_point_plan``), which records it once per matrix: each point fills the
-entry slots with integers, its rows scaled to clear the point's
-denominators, and replays the steps.  No function here reads the monomial
-layout of ``polyring``; point values come from its one evaluator.
+entry slots with integers, its rows scaled to clear the denominators that
+the evaluator returns, and replays the steps.  No function here reads the
+monomial layout of ``polyring``; point values come from its one evaluator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -225,8 +225,9 @@ def _point_plan(matrix: SymMatrix) -> tuple:
     of the nonempty cover masks in increasing order.
 
     Each nonzero entry gets a slot, and ``_family_sums`` records the plan
-    once; each point replays it over integers, as the symbolic paths
-    replay it over polynomials.
+    once.  Each point evaluates the entries to unreduced (N, Q) pairs,
+    scales each row by the lcm of its Q and replays the plan over the
+    integers, as the symbolic paths replay it over polynomials.
     Threads that reach a fresh matrix at once may each record a plan; the
     plans are equal and the last one stored stays, so the race is benign.
     A matrix past ``MAX_ENUM_DIM`` raises ValueError and stores nothing."""
@@ -252,12 +253,13 @@ def minor_values_at(matrix: SymMatrix, point: RationalPoint) -> dict[int, Fracti
     integers.  The point becomes integer numerator and denominator lists
     once, and the matrix's point plan (``_point_plan``, recorded at the
     first call) does the rest: its entries, compiled once by the
-    polynomials' one evaluator, are evaluated on those lists, and row i is
-    scaled by L_i, the lcm of its entries' reduced denominators, so
-    det A[S] = det((LA)[S]) / prod of L_i over i in S.  The plan's steps
-    then replay the family sums of the scaled entries, and a Fraction is
-    built once per mask.  The support, and so the masks, come from the
-    symbolic entries: one that evaluates to 0 at the point stays an edge.
+    polynomials' one evaluator, are evaluated on those lists, each to an
+    unreduced N/Q, and row i is scaled by L_i, the lcm of its entries' Q:
+    any common multiple clears the row exactly, so det A[S] = det((LA)[S])
+    / prod of L_i over i in S.  The plan's steps then replay the family
+    sums of the scaled entries, and a Fraction is built once per mask.  The
+    support, and so the masks, come from the symbolic entries: one that
+    evaluates to 0 at the point stays an edge.
     """
     n = matrix.n
     us, vs = _point_lists(point, matrix.table, len(matrix.table))
@@ -266,13 +268,9 @@ def minor_values_at(matrix: SymMatrix, point: RationalPoint) -> dict[int, Fracti
     slots[_ONE], slots[_MINUS_ONE] = 1, -1
     scales = []
     for row in rows:
-        values = []
-        for slot, value_of in row:
-            num, den = value_of(us, vs)
-            common = gcd(num, den)
-            values.append((slot, num // common, den // common))
-        scale = lcm(*(den for _, _, den in values))
-        for slot, num, den in values:
+        values = [(slot, value_of(us, vs)) for slot, value_of in row]
+        scale = lcm(*(den for _, (_, den) in values))
+        for slot, (num, den) in values:
             slots[slot] = num * (scale // den)
         scales.append(scale)
     steps = iter(steps)

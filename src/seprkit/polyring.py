@@ -19,7 +19,7 @@ monomials are the private ``_mono_*`` functions below, and ``_mono_indices``
 lists a monomial's variable indices with repetition for the compiled
 evaluator ``Polynomial._evaluator``, the one code that evaluates a
 polynomial at a point; apart from them only ``Polynomial.variable``,
-``constant``, ``degree``, ``_top_exponents`` and ``_has_cancellable_term``
+``constant``, ``degree``, ``_evaluator`` and ``_has_cancellable_term``
 read the layout.
 
 Three shortcuts skip work whose result is known beforehand, and each gives
@@ -463,21 +463,6 @@ class Polynomial:
         length, value_of = self._evaluator()
         return Fraction(*value_of(*_point_lists(point, self.table, length)))
 
-    def _top_exponents(self) -> dict[int, int]:
-        """{variable index: its highest exponent in any term}, over the
-        variables that occur: the exponents of the evaluator's common
-        denominator."""
-        top: dict[int, int] = {}
-        for mono in self._terms:
-            # (index, negated exponent) pairs follow the degree field
-            fields = iter(mono)
-            next(fields)
-            for index in fields:
-                exp = next(fields)
-                if exp < top.get(index, 0):
-                    top[index] = exp
-        return {index: -exp for index, exp in top.items()}
-
     def _evaluator(self) -> tuple[int, Callable[[Sequence[int], Sequence[int]], tuple[int, int]]]:
         """(length, value_of): ``value_of(us, vs)`` is the value as an
         unreduced (N, Q) with Q > 0, where variable i takes us[i]/vs[i] with
@@ -490,17 +475,25 @@ class Polynomial:
         (coefficient, getter) pairs, the getter picking each variable's index
         as often as its exponent, so a call reads every term as
         ``c * prod(g(us)) * (Q // prod(g(vs)))`` without walking the
-        monomial tuple; Q is picked the same way.  This is the one evaluator:
-        ``eval_at`` calls it once; ``minor_values_at`` compiles each matrix
-        entry once, into the matrix's point plan, and calls it at every
-        point on lists built once per point; and the orthant sampler
+        monomial tuple; Q is picked the same way, and the D_i are collected
+        in the same walk over the terms that builds their getters.  This is
+        the one evaluator: ``eval_at`` calls it once; ``minor_values_at``
+        compiles each matrix entry once, into the matrix's point plan, calls
+        it at every point on lists built once per point and scales each row
+        by the lcm of the Q its entries return; and the orthant sampler
         compiles once per polynomial and reads N's sign at every sample.
         """
-        terms = [(coeff, _index_getter(_mono_indices(mono)))
-                 for mono, coeff in self._terms.items()]
-        top = self._top_exponents()
-        common_of = _index_getter([index for index, top_exp in top.items()
-                                   for _ in range(top_exp)])
+        terms, top = [], {}
+        for mono, coeff in self._terms.items():
+            terms.append((coeff, _index_getter(_mono_indices(mono))))
+            # (index, negated exponent) pairs follow the degree field
+            fields = iter(mono)
+            next(fields)
+            for index in fields:
+                exp = next(fields)
+                if exp < top.get(index, 0):
+                    top[index] = exp
+        common_of = _index_getter([index for index, exp in top.items() for _ in range(-exp)])
 
         def value_of(us: Sequence[int], vs: Sequence[int]) -> tuple[int, int]:
             common = prod(common_of(vs))

@@ -496,6 +496,20 @@ def test_verify_claims_with_budget_one_is_inconclusive():
     assert report.sepr.level(9).class_counts["unresolved"] == 4
 
 
+def test_analyze_rejects_a_budget_below_one_on_every_matrix():
+    # a zero matrix has no minor to classify, so the check cannot be left
+    # to the sampler; it comes before enumeration, for the paper's matrix too
+    for entries in ([["0", "0"], ["0", "0"]], [["x", "0"], ["0", "-y"]]):
+        matrix = matrix_from_document({"n": 2, "entries": entries})
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="budget must be at least 1"):
+                analyze(matrix, budget=budget)
+    with mock.patch("seprkit.certify.all_principal_minors",
+                    side_effect=AssertionError("enumerated before the budget check")):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            verify_paper_claims(budget=0)
+
+
 def test_verify_claims_reports_failures_of_a_mutated_matrix(mutated_report):
     claims = check_expected(mutated_report, PAPER_MATRIX_DOCUMENT["expected"])
     by_name = {c.name: c for c in claims}
@@ -557,6 +571,8 @@ def test_check_expected_on_a_small_matrix():
     ({"sepr": [["0"], ["0", "+", "-"], ["0"]], "mixed_orders": ["2"]}, '"mixed_orders" must be'),
     ({"sepr": [["0"], ["0", "+", "-"], ["0"]], "mixed_orders": [True]}, '"mixed_orders" must be'),
     ({"sepr": ["0", "0+-", "0"], "mixed_orders": []}, '"sepr" must be a list of lists'),
+    ({"sepr": [["0"], ["0", "+", "-"], ["0"]], "mixed_orders": [2, 2]},
+     '"mixed_orders" must not repeat an order'),
 ])
 def test_check_expected_rejects_data_it_cannot_check(expected, message):
     report = analyze(matrix_from_document(SMALL_DOCUMENT))

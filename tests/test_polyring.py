@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 from unittest import mock
 
 import pytest
@@ -330,6 +331,10 @@ def test_the_evaluator_gives_the_exact_value_over_a_positive_denominator():
             numerator, common = value_of(us[:length], vs[:length])
             point = RationalPoint(table, tuple(map(Fraction, us, vs)))
             assert common > 0 and Fraction(numerator, common) == eval_reference(p, point), p
+            # Q is prod vs[i]^D_i, D_i the highest exponent of variable i
+            # in any term, and not a larger common denominator
+            assert common == prod(vs[i] ** max(exps.get(i, 0) for exps in used)
+                                  for i in range(length)), p
         # a term picks as many indices as its degree: none is the empty
         # getter, one the slice getter
         seen.update(("empty", "slice", "itemgetter")[min(sum(exps.values()), 2)]
