@@ -7,11 +7,11 @@ Grammar (whitespace insignificant)::
     factor := base ['^' INT]
     base   := INT | IDENT | '(' expr ')'
 
-``INT`` is a nonnegative decimal literal and ``IDENT`` follows the variable
-grammar of :class:`~seprkit.polyring.VariableTable`.  Identifiers are declared
-on first use by appending them to the caller's table.  Implicit
-multiplication ("2a1") is rejected; ``^`` takes only a nonnegative integer
-literal, with ``^0`` yielding 1.
+``INT`` is a nonnegative literal of ASCII digits and ``IDENT`` follows the
+variable grammar of :class:`~seprkit.polyring.VariableTable`.  Identifiers
+are declared on first use by appending them to the caller's table.
+Implicit multiplication ("2a1") is rejected; ``^`` takes only a nonnegative
+integer literal, with ``^0`` yielding 1.
 
 Limits: an exponent is at most ``MAX_DEGREE``, and before a ``+``, ``-``,
 ``*`` or ``^`` is applied, bounds on its result (degree, term count, bits of
@@ -58,7 +58,7 @@ class _Token:
     offset: int
 
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()])")
+_TOKEN_RE = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()])")
 
 
 def _tokenize(src: str) -> list[_Token]:

@@ -29,6 +29,7 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import count
 from math import comb
 from typing import Iterator, Sequence
 
@@ -73,34 +74,31 @@ class Lcg64(object):
     def __init__(self, seed: int):
         self.state = seed & self._MASK
 
-    def draw(self, lo: int, hi: int) -> int:
-        self.state = (self.state * self.MULTIPLIER + self.INCREMENT) & self._MASK
-        return lo + (self.state >> 32) % (hi - lo + 1)
-
-    def pairs(self, count: int) -> list[tuple[int, int]]:
-        """The next ``count`` sample values u/v as unreduced (u, v) pairs,
-        u drawn before v, each as ``draw(1, 100)`` would draw it; the
-        recurrence is inlined, as this is the sampler's inner loop."""
-        state, multiplier, increment, mask = \
-            self.state, self.MULTIPLIER, self.INCREMENT, self._MASK
-        pairs = []
-        for _ in range(count):
-            state = (state * multiplier + increment) & mask
-            u = 1 + (state >> 32) % 100
-            state = (state * multiplier + increment) & mask
-            pairs.append((u, 1 + (state >> 32) % 100))
-        self.state = state
-        return pairs
-
     def point(self, table: VariableTable) -> RationalPoint:
         """Strictly positive rational point, one u/v pair per variable in
         declaration order."""
-        return RationalPoint(table, tuple(Fraction(u, v) for u, v in self.pairs(len(table))))
+        us, vs, self.state = _draw(self.state, len(table))
+        return RationalPoint(table, tuple(map(Fraction, us, vs)))
 
 
-# Samples a stream stores, under 1 KB each at 36 variables; a caller that
-# needs more continues the generator from the last stored state, storing
-# nothing, so a stream stays this small whatever the budget.
+def _draw(state: int, n: int) -> tuple[list[int], list[int], int]:
+    """The next ``n`` sample values u/v of the generator at ``state``, u
+    drawn before v, each 1 + (top 32 bits of the new state) % 100, as the
+    lists us and vs, and the state after them.  The recurrence is inlined,
+    as this is the sampler's inner loop."""
+    multiplier, increment, mask = Lcg64.MULTIPLIER, Lcg64.INCREMENT, Lcg64._MASK
+    us, vs = [], []
+    for _ in range(n):
+        state = (state * multiplier + increment) & mask
+        us.append(1 + (state >> 32) % 100)
+        state = (state * multiplier + increment) & mask
+        vs.append(1 + (state >> 32) % 100)
+    return us, vs, state
+
+
+# Samples a stream stores, under 1 KB each at 36 variables; later samples
+# are drawn as stored ones are but not kept, so a stream stays this small
+# whatever the budget.
 _STORED_SAMPLES = 256
 
 
@@ -110,12 +108,11 @@ class _SampleStream:
     with that seed.  It holds only ints and weak references, no strong
     reference to the table.
 
-    Sample j is stored as (us, vs, state): the u and v lists of the point
+    Sample j is (us, vs, state): the u and v lists of the point
     ``Lcg64.point`` would draw j-th, and the generator state after it.
-    Each reader draws a missing sample j from sample j - 1's stored state
-    with a generator of its own, so no generator is shared between threads:
-    threads that reach sample j together draw equal values, and
-    ``setdefault`` stores one of them.
+    Each reader draws a missing sample j by ``_draw`` from sample j - 1's
+    state, an int, so threads share no generator: threads that reach
+    sample j together draw equal values, and ``setdefault`` stores one.
     """
 
     __slots__ = ("key", "_samples", "_points")
@@ -130,15 +127,14 @@ class _SampleStream:
         """Samples 0, 1, 2, ... without end, drawn as they are reached."""
         state, n = self.key
         samples = self._samples
-        for j in range(_STORED_SAMPLES):
+        for j in count():
             sample = samples.get(j)
             if sample is None:
-                sample = samples.setdefault(j, _draw(Lcg64(state), n))
+                sample = _draw(state, n)
+                if j < _STORED_SAMPLES:
+                    sample = samples.setdefault(j, sample)
             yield sample
             state = sample[2]
-        rng = Lcg64(state)
-        while True:
-            yield _draw(rng, n)
 
     def point(self, table: VariableTable, j: int, us: list[int],
               vs: list[int]) -> RationalPoint:
@@ -153,11 +149,6 @@ class _SampleStream:
             if j < _STORED_SAMPLES:
                 self._points[j] = weakref.ref(point)
         return point
-
-
-def _draw(rng: Lcg64, n: int) -> tuple[list[int], list[int], int]:
-    pairs = rng.pairs(n)
-    return [u for u, _ in pairs], [v for _, v in pairs], rng.state
 
 
 def _stream_of(table: VariableTable, seed: int) -> _SampleStream:

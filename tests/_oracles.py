@@ -19,7 +19,6 @@ from seprkit import (
     CoeffSignSummary,
     IndexSet,
     LevelCertification,
-    Lcg64,
     Polynomial,
     RationalPoint,
     SymMatrix,
@@ -292,17 +291,35 @@ def eval_reference(p: Polynomial, point: RationalPoint) -> Fraction:
     return total
 
 
+class LcgReference:
+    """The sampler's published generator, written out apart from the
+    package: from the seed mod 2^64, each draw steps the state to
+    state * 6364136223846793005 + 1442695040888963407 mod 2^64 and returns
+    1 + (state >> 32) % 100.  A point draws u, then v, for each variable in
+    table order and takes the value u/v."""
+
+    def __init__(self, seed: int):
+        self.state = seed % 2 ** 64
+
+    def draw(self) -> int:
+        self.state = (self.state * 6364136223846793005 + 1442695040888963407) % 2 ** 64
+        return 1 + (self.state >> 32) % 100
+
+    def point(self, table: VariableTable) -> RationalPoint:
+        return RationalPoint(table, tuple(Fraction(self.draw(), self.draw())
+                                          for _ in range(len(table))))
+
+
 def classify_reference(p: Polynomial, budget: int, seed: int):
     """The sampling half of ``classify_polynomial`` as a plain loop: draw a
-    whole point of Fractions per sample, u before v for each variable in
-    table order, evaluate it termwise, and keep the first positive and the
-    first negative point.  Returns (kind, pos, neg) with kind "mixed" or
+    whole point of Fractions per sample from ``LcgReference(seed)``,
+    evaluate it termwise, and keep the first positive and the first
+    negative point.  Returns (kind, pos, neg) with kind "mixed" or
     "unresolved"."""
-    rng = Lcg64(seed)
+    rng = LcgReference(seed)
     pos = neg = None
     for _ in range(budget):
-        point = RationalPoint(p.table, tuple(Fraction(rng.draw(1, 100), rng.draw(1, 100))
-                                             for _ in range(len(p.table))))
+        point = rng.point(p.table)
         value = eval_reference(p, point)
         if value > 0 and pos is None:
             pos = point

@@ -1,5 +1,6 @@
 """Case-split certificates and the end-to-end claim verification."""
 
+import dataclasses
 import heapq
 import json
 import math
@@ -15,6 +16,8 @@ from seprkit import (
     IndexSet,
     Polynomial,
     RationalPoint,
+    SignClass,
+    SignKind,
     SymMatrix,
     VariableTable,
     all_principal_minors,
@@ -587,6 +590,23 @@ def test_mutated_matrix_size9_minors_still_take_both_signs(mutated_report):
     assert by_name["mixed-size-9"].status == PASS
     changed = mutated_report.minors.minor(SIZE9_SUBSETS[2].mask())
     assert "b1*b5*b7" in str(changed)
+
+
+def test_mixed_claim_fails_on_witnesses_that_do_not_re_evaluate():
+    # the claim re-evaluates each Mixed verdict's witnesses instead of
+    # trusting the search: swapped witnesses of one size-9 minor fail it
+    report = verify_paper_claims().sepr
+    mask = SIZE9_SUBSETS[0].mask()
+    verdict = report.classes[mask]
+    assert verdict.kind is SignKind.MIXED
+    swapped = SignClass(SignKind.MIXED, pos_witness=verdict.neg_witness,
+                        neg_witness=verdict.pos_witness)
+    report = dataclasses.replace(report, classes={**report.classes, mask: swapped})
+    claims = check_expected(report, PAPER_MATRIX_DOCUMENT["expected"])
+    by_name = {c.name: c for c in claims}
+    assert (by_name["mixed-size-9"].status, by_name["mixed-size-9"].details) == \
+        (FAIL, "{1,2,3,7,8,9,10,11,12}: witness re-evaluation failed")
+    assert VerificationReport(12, 0, 1000, claims, report).overall == FAIL
 
 
 def test_report_document_layout():

@@ -59,6 +59,11 @@ def test_leading_minus_binds_the_first_term_only():
         ("x ^", 3),
         ("2 $ 2", 2),
         ("x + + y", 4),
+        # INT is ASCII digits only, as in RationalPoint.from_mapping
+        ("\u0663*x", 0),
+        ("x^\u0662", 2),
+        ("\uff11", 0),
+        ("x + \u06f4", 4),
     ],
 )
 def test_error_offsets(src, offset):

@@ -29,8 +29,15 @@ from seprkit import (
     minor_values_at,
     sepr_at_point,
 )
-from seprkit.orthant import _STORED_SAMPLES, sign_of
-from _oracles import classify_reference, leibniz_det, monomial, principal_subgrid, sign_str
+from seprkit.orthant import _STORED_SAMPLES, _draw, _stream_of, sign_of
+from _oracles import (
+    LcgReference,
+    classify_reference,
+    leibniz_det,
+    monomial,
+    principal_subgrid,
+    sign_str,
+)
 
 S = frozenset
 FULL = S("0+-")
@@ -52,40 +59,46 @@ def test_sign_of_fractions_and_ints():
 
 
 def test_lcg_follows_the_published_recurrence():
-    # independent reimplementation of the generator contract
-    state = 7
-    rng = Lcg64(7)
-    for lo, hi in [(1, 100), (1, 100), (5, 5), (0, 2 ** 40)]:
-        state = (state * 6364136223846793005 + 1442695040888963407) % 2 ** 64
-        expected = lo + (state >> 32) % (hi - lo + 1)
-        assert rng.draw(lo, hi) == expected
+    # consecutive points go on from the state the last one left
+    table = VariableTable(["x", "y", "z"])
+    rng, reference = Lcg64(7), LcgReference(7)
+    assert [rng.point(table) for _ in range(3)] == [reference.point(table) for _ in range(3)]
+    assert rng.state == reference.state
 
 
 def test_lcg_fraction_and_point():
     table = VariableTable(["x", "y", "z"])
-    pairs = Lcg64(0).pairs(200)
-    assert all(1 <= u <= 100 and 1 <= v <= 100 for u, v in pairs)
+    us, vs, _ = _draw(0, 200)
+    assert all(1 <= u <= 100 and 1 <= v <= 100 for u, v in zip(us, vs))
     point = Lcg64(3).point(table)
     assert len(point.values) == 3
     assert point.is_strictly_positive()
     assert Lcg64(3).point(table) == point  # same seed, same point
     assert Lcg64(4).point(table) != point
-    assert point.values == tuple(Fraction(u, v) for u, v in Lcg64(3).pairs(3))
+    assert point.values == tuple(map(Fraction, *_draw(3, 3)[:2]))
 
 
 @pytest.mark.parametrize("seed", [0, 1, -1, 2 ** 64 - 1])
 @pytest.mark.parametrize("count", [0, 1, 36, 200])
 def test_lcg_pairs_are_draws_u_before_v(seed, count):
-    # pairs inlines the recurrence; it must draw exactly what draw(1, 100)
-    # draws, u before v, and leave the generator in the same state
-    rng, reference = Lcg64(seed), Lcg64(seed)
-    assert rng.pairs(count) == [(reference.draw(1, 100), reference.draw(1, 100))
-                                for _ in range(count)]
-    assert rng.state == reference.state
+    # _draw inlines the recurrence; it must draw exactly what the reference
+    # generator draws, u before v, and return the state it leaves, and
+    # Lcg64.point must draw the same values and move to that state
+    us, vs, state = _draw(Lcg64(seed).state, count)
+    reference = LcgReference(seed)
+    assert list(zip(us, vs)) == [(reference.draw(), reference.draw()) for _ in range(count)]
+    assert state == reference.state
+    rng = Lcg64(seed)
+    assert rng.point(VariableTable([f"x{i}" for i in range(count)])).values == \
+        tuple(map(Fraction, us, vs))
+    assert rng.state == state
 
 
 def test_negative_and_huge_seeds_are_masked():
-    assert Lcg64(-1).draw(1, 100) == Lcg64(2 ** 64 - 1).draw(1, 100)
+    table = VariableTable(["x", "y"])
+    assert Lcg64(-1).state == Lcg64(2 ** 64 - 1).state == 2 ** 64 - 1
+    assert Lcg64(-1).point(table) == Lcg64(2 ** 64 - 1).point(table)
+    assert _stream_of(table, -1) is _stream_of(table, 2 ** 64 - 1)
 
 
 # ------------------------------------------------------------ classification
@@ -175,7 +188,8 @@ def test_classify_matches_the_witness_stream_oracle():
     # (x0 - 1)^2 and x0 - 1 vanish on a sample with u = v for x0, and a
     # zero sample spends budget but witnesses nothing
     table = VariableTable(["x0", "x1"])
-    zero_first = [seed for seed in range(1000) if len(set(Lcg64(seed).pairs(1)[0])) == 1]
+    zero_first = [seed for seed in range(1000)
+                  if LcgReference(seed).point(table).values[0] == 1]
     for seed in zero_first[:3]:
         for text, never_negative in (("x0^2 - 2*x0 + 1", True), ("x0 - 1", False)):
             cases += [(poly(text, table), budget, seed, never_negative) for budget in (1, 2, 60)]
@@ -230,14 +244,14 @@ def test_classify_on_shared_tables_matches_the_witness_stream_oracle():
         return kind
 
     cases = [case for table in tables for case in cases_over(table, 12)]
-    # negative only at one sample past the stored ones: the loop must go on
-    # drawing where the stream stopped
+    # negative only at one sample ten past the stored ones: the loop must
+    # go on drawing where the stream stopped, each sample from the last
     late = VariableTable(["y0", "y1"])
     y0, y1 = Polynomial.variable(late, "y0"), Polynomial.variable(late, "y1")
     for seed in seeds:
-        generator = Lcg64(seed)
-        drawn = [tuple(Fraction(u, v) for u, v in generator.pairs(2)) for _ in range(past_bound)]
-        a, b = next(drawn[j] for j in range(_STORED_SAMPLES, past_bound)
+        generator = LcgReference(seed)
+        drawn = [generator.point(late).values for _ in range(past_bound)]
+        a, b = next(drawn[j] for j in range(_STORED_SAMPLES + 10, past_bound)
                     if drawn[j] not in drawn[:j])
         # 10^5 * (squared distance to (a, b), times denominators) - 1 is
         # at least 10 - 1 at every other sample
@@ -278,7 +292,7 @@ def dense_document(rng, n):
 def samples_used(p, budget, seed):
     """How many samples a fresh generator per call draws for p: up to its
     first sample of each sign, or the whole budget."""
-    rng = Lcg64(seed)
+    rng = LcgReference(seed)
     signs = set()
     for j in range(budget):
         signs.add(sign_of(p.eval_at(rng.point(p.table))))
@@ -289,8 +303,7 @@ def samples_used(p, budget, seed):
 
 def test_one_analysis_draws_each_sample_once():
     matrix = matrix_from_document(dense_document(random.Random(606), 6))
-    original = Lcg64.pairs
-    with mock.patch.object(Lcg64, "pairs", autospec=True, side_effect=original) as pairs:
+    with mock.patch("seprkit.orthant._draw", wraps=_draw) as draw:
         report = analyze(matrix, seed=3)
     sampled = [minor for minor in report.minors.entries.values()
                if minor.coeff_sign_summary() is CoeffSignSummary.MIXED_SIGNS]
@@ -298,8 +311,8 @@ def test_one_analysis_draws_each_sample_once():
     assert len(sampled) > 30 and sum(used) > 2 * max(used)
     # one draw of all 36 variables per sample, each drawn by the first
     # minor that needs it
-    assert pairs.call_count == max(used)
-    assert {call.args[1] for call in pairs.call_args_list} == {36}
+    assert draw.call_count == max(used)
+    assert {call.args[1] for call in draw.call_args_list} == {36}
 
 
 def test_witnesses_of_one_sample_are_one_point_rendered_once():
