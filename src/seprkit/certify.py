@@ -23,7 +23,6 @@ data, reporting each claim honestly as PASS, FAIL, or INCONCLUSIVE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -37,7 +36,7 @@ from .orthant import (
     format_sign_set,
 )
 from .polyring import (CoeffSignSummary, Polynomial, _has_cancellable_term, _mono_quotient,
-                       reduce_by)
+                       _Record, reduce_by)
 from .symmatrix import PAPER_MATRIX_DOCUMENT, IndexSet, SymMatrix, paper_matrix
 
 __all__ = [
@@ -89,8 +88,7 @@ _ZERO_ONLY = frozenset({"0"})
 _FULL = frozenset({"0", "+", "-"})
 
 
-@dataclass(frozen=True)
-class CaseDecomposition:
+class CaseDecomposition(NamedTuple):
     """One minor's exact division by the pivot, m = q*D + r, plus the sign
     concluded (or None for unknown) per case of _CASE_KEYS; ``mask`` is the
     minor's subset."""
@@ -157,8 +155,7 @@ def _concluded_everywhere(decompositions: Sequence[CaseDecomposition]) -> frozen
         for case in _CASE_KEYS))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Proof object for one order k: pivot D plus a decomposition of every
     nonzero k-minor.  Every sign in ``guaranteed`` minus {0} is concluded by
     some decomposition in each of the three sign(D) cases; 0 is justified by
@@ -282,8 +279,7 @@ def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertifi
     return LevelCertification(guaranteed, METHOD_SAMPLING, None)
 
 
-@dataclass(frozen=True)
-class LevelSummary:
+class LevelSummary(NamedTuple):
     """One row of a SeprReport: what is proven at order k, how, and how the
     individual minors classified."""
 
@@ -303,16 +299,20 @@ class LevelSummary:
         }
 
 
-@dataclass(frozen=True)
-class SeprReport:
+class SeprReport(_Record):
     """Per-order certification summary for a whole matrix, k = 1..n, with
     the minor table and the per-minor verdicts behind it.  ``classes``
     holds a verdict, keyed by mask, for each minor stored in
-    ``minors.entries``; every absent mask is Zero."""
+    ``minors.entries``; every absent mask is Zero.  A report iterates
+    over its levels, so it is not a tuple."""
 
-    levels: tuple[LevelSummary, ...]
-    minors: MinorTable
-    classes: Mapping[int, SignClass]
+    __slots__ = _fields = ("levels", "minors", "classes")
+
+    def __init__(self, levels: tuple[LevelSummary, ...], minors: MinorTable,
+                 classes: Mapping[int, SignClass]) -> None:
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "minors", minors)
+        object.__setattr__(self, "classes", classes)
 
     def level(self, k: int) -> LevelSummary:
         if not 1 <= k <= len(self.levels):
@@ -326,8 +326,7 @@ class SeprReport:
         return len(self.levels)
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     name: str
     status: str
     details: str
@@ -336,8 +335,7 @@ class ClaimResult:
         return {"name": self.name, "status": self.status, "details": self.details}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     n: int
     seed: int
     budget: int

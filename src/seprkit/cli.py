@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -34,6 +35,8 @@ from .symmatrix import IndexSet, SymMatrix, load_matrix, paper_matrix
 __all__ = ["main"]
 
 _EXIT_BY_STATUS = {PASS: 0, FAIL: 1, INCONCLUSIVE: 2}
+# An integer flag: ASCII digits, an optional sign and surrounding whitespace.
+_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,22 +48,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+def _ascii_int(text: str) -> int | None:
+    """The integer ``text`` spells in ASCII digits, else None: ``int()``
+    alone also takes underscores ("1_0") and the digits of other scripts."""
+    return int(text) if _INT_RE.fullmatch(text) else None
+
+
+def _integer(text: str) -> int:
+    value = _ascii_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
+    value = _ascii_int(text)
+    if value is None or value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
 def _subset_list(text: str) -> list[int]:
-    try:
-        indices = [int(piece) for piece in text.split(",") if piece.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+    indices = [_ascii_int(piece) for piece in text.split(",") if piece.strip()]
+    if None in indices:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     if not indices:
         raise argparse.ArgumentTypeError("expected at least one index")
     return indices
@@ -78,7 +89,7 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser(
         "verify-paper", formatter_class=fmt,
         help="verify the built-in matrix's sign-set claims end to end")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p_verify.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
                           help="sampling seed")
     p_verify.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                           help="samples per polynomial in witness searches")
@@ -115,7 +126,7 @@ def _build_parser() -> _Parser:
     p_classify.add_argument("--k", type=_positive_int, default=None,
                             help="restrict to minors of this order "
                                  "(default: all orders)")
-    p_classify.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p_classify.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
                             help="sampling seed")
     p_classify.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                             help="samples per polynomial in witness searches")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .polyring import Polynomial, VariableTable
 
@@ -44,15 +44,14 @@ _MAX_LITERAL_DIGITS = len(str(1 << MAX_COEFF_BITS))
 
 
 class ParseError(ValueError):
-    """Syntax error with the byte offset of the offending input."""
+    """Syntax error with the character offset of the offending input."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int" | "ident" | one of + - * ^ ( ) | "end"
     text: str
     offset: int

@@ -26,7 +26,6 @@ and witnesses are exactly those of a fresh ``Lcg64(seed)`` per call.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import count
@@ -34,7 +33,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .minors import minor_values_at
-from .polyring import CoeffSignSummary, Polynomial, RationalPoint, VariableTable
+from .polyring import CoeffSignSummary, Polynomial, RationalPoint, VariableTable, _Record
 from .symmatrix import SymMatrix
 
 __all__ = [
@@ -186,24 +185,29 @@ class SignKind(Enum):
     UNRESOLVED = "unresolved"
 
 
-@dataclass(frozen=True)
-class SignClass:
+class SignClass(_Record):
     """Verdict for one polynomial over the open positive orthant.
 
     Mixed carries two strictly positive witnesses with exactly opposite
     evaluated signs.  Unresolved keeps whichever single-sign witness the
     search found, if any; it is never silently upgraded to Pos or Neg.
+    Its fields are slots, not tuple fields, as they read faster and are
+    read for every mask of a sparse analysis.
     """
 
-    kind: SignKind
-    pos_witness: RationalPoint | None = None
-    neg_witness: RationalPoint | None = None
+    __slots__ = _fields = ("kind", "pos_witness", "neg_witness")
+
+    def __init__(self, kind: SignKind, pos_witness: RationalPoint | None = None,
+                 neg_witness: RationalPoint | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "pos_witness", pos_witness)
+        object.__setattr__(self, "neg_witness", neg_witness)
 
     def label(self) -> str:
         return self.kind.name.capitalize()
 
 
-# SignClass is frozen, so the witness-free verdicts can be shared.
+# A SignClass is read-only, so the witness-free verdicts can be shared.
 _ZERO = SignClass(SignKind.ZERO)
 _POS = SignClass(SignKind.POS)
 _NEG = SignClass(SignKind.NEG)

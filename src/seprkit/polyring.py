@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import prod
@@ -229,12 +228,56 @@ class CoeffSignSummary(Enum):
     MIXED_SIGNS = "mixed-signs"
 
 
-@dataclass(frozen=True)
-class RationalPoint:
-    """Exact rational value for every variable of a table, in table order."""
+class _Record:
+    """Base of a small read-only class with ``__slots__``.  Its ``__init__``
+    sets the fields named in ``_fields`` once, with ``object.__setattr__``;
+    any later assignment raises AttributeError, so one instance can be
+    shared.  ``==`` and ``hash()`` are those of the tuple of the fields in
+    order, between instances of one class, ``repr()`` shows
+    ``Class(field=value, ...)``, and copy and pickle rebuild an instance
+    through ``__init__``."""
 
-    table: VariableTable
-    values: tuple[Fraction, ...]
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class RationalPoint(_Record):
+    """Exact rational value for every variable of a table, in table order.
+
+    The sample stream refers to a witness point weakly, and ``render()``
+    keeps its text after the first call."""
+
+    _fields = ("table", "values")
+    __slots__ = (*_fields, "_text", "__weakref__")
+
+    def __init__(self, table: VariableTable, values: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_text", None)
 
     @staticmethod
     def all_ones(table: VariableTable) -> "RationalPoint":
@@ -279,10 +322,10 @@ class RationalPoint:
 
     def render(self) -> str:
         # kept after the first call: the values and their names never change
-        text = self.__dict__.get("_text")
+        text = self._text
         if text is None:
-            text = self.__dict__["_text"] = " ".join(
-                f"{name}={value}" for name, value in self.items())
+            text = " ".join(f"{name}={value}" for name, value in self.items())
+            object.__setattr__(self, "_text", text)
         return text
 
     def __repr__(self) -> str:

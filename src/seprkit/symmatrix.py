@@ -12,9 +12,8 @@ the grammar of :mod:`seprkit.exprparse`.  All external indices are 1-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exprparse import ParseError, parse_entry
 from .polyring import Polynomial, VariableTable, _same_table
@@ -35,8 +34,7 @@ class MatrixFormatError(ValueError):
     """Malformed matrix document."""
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(NamedTuple):
     """The 1-based text form of a subset, strictly increasing; the core
     works on its ``mask()``, in which bit i-1 selects index i."""
 

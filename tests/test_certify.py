@@ -1,17 +1,20 @@
 """Case-split certificates and the end-to-end claim verification."""
 
-import dataclasses
+import copy
 import heapq
 import json
 import math
 import random
 import re
 import types
+import weakref
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 
 from seprkit import (
+    CaseDecomposition,
     CoeffSignSummary,
     IndexSet,
     Polynomial,
@@ -24,6 +27,7 @@ from seprkit import (
     analyze,
     certify_level,
     check_expected,
+    classify_polynomial,
     discover_pivots,
     matrix_from_document,
     parse_entry,
@@ -41,6 +45,7 @@ from seprkit.certify import (
     METHOD_PIVOT,
     METHOD_SAMPLING,
     PASS,
+    SeprReport,
     VerificationReport,
 )
 from seprkit.minors import MAX_ENUM_DIM, MinorTable
@@ -601,12 +606,54 @@ def test_mixed_claim_fails_on_witnesses_that_do_not_re_evaluate():
     assert verdict.kind is SignKind.MIXED
     swapped = SignClass(SignKind.MIXED, pos_witness=verdict.neg_witness,
                         neg_witness=verdict.pos_witness)
-    report = dataclasses.replace(report, classes={**report.classes, mask: swapped})
+    report = SeprReport(report.levels, report.minors, {**report.classes, mask: swapped})
     claims = check_expected(report, PAPER_MATRIX_DOCUMENT["expected"])
     by_name = {c.name: c for c in claims}
     assert (by_name["mixed-size-9"].status, by_name["mixed-size-9"].details) == \
         (FAIL, "{1,2,3,7,8,9,10,11,12}: witness re-evaluation failed")
     assert VerificationReport(12, 0, 1000, claims, report).overall == FAIL
+
+
+def test_points_verdicts_and_subsets_compare_as_values_and_refuse_assignment():
+    table = VariableTable(["x", "y"])
+    point = RationalPoint(table, (Fraction(1), Fraction(2, 3)))
+    same = RationalPoint(table, (Fraction(1), Fraction(2, 3)))
+    assert point == same and point is not same and hash(point) == hash(same)
+    assert point != RationalPoint(table, (Fraction(1), Fraction(1)))
+    assert weakref.ref(point)() is point
+    text = point.render()
+    assert text == "x=1 y=2/3" and point.render() is text
+    assert repr(point) == "RationalPoint(x=1 y=2/3)"
+
+    mixed = SignClass(SignKind.MIXED, pos_witness=point, neg_witness=same)
+    assert mixed == SignClass(SignKind.MIXED, same, point)
+    assert hash(mixed) == hash(SignClass(SignKind.MIXED, same, point))
+    assert mixed != SignClass(SignKind.MIXED, pos_witness=point)
+    assert repr(SignClass(SignKind.POS)) == \
+        "SignClass(kind=<SignKind.POS: 'pos'>, pos_witness=None, neg_witness=None)"
+    assert (mixed.label(), SignClass(SignKind.UNRESOLVED).label()) == ("Mixed", "Unresolved")
+    # the witness-free verdicts are one object each
+    for first, second, kind in (("0", "0*x", SignKind.ZERO), ("x", "2*x*y + y", SignKind.POS),
+                                ("-y", "-x - 3", SignKind.NEG)):
+        verdict = classify_polynomial(parse_entry(first, table))
+        assert verdict.kind is kind
+        assert classify_polynomial(parse_entry(second, table)) is verdict
+
+    subset = IndexSet.of([3, 1], 4)
+    assert subset == IndexSet((1, 3)) == IndexSet.from_mask(0b101)
+    assert hash(subset) == hash(IndexSet.from_mask(0b101))
+    assert (str(subset), subset.mask()) == ("{1,3}", 0b101)
+
+    x = parse_entry("x", table)
+    decomposition = CaseDecomposition(1, x, Polynomial.zero(table), x, ("+", "+", "+"))
+    report = analyze(matrix_from_document({"n": 1, "entries": [["x"]]}))
+    for value, name in ((point, "values"), (point, "_text"), (point, "extra"),
+                        (mixed, "kind"), (mixed, "extra"), (report, "classes"),
+                        (report, "extra"), (subset, "indices"), (decomposition, "q")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert point.render() is text and mixed.kind is SignKind.MIXED
+    assert (copy.copy(point), copy.copy(mixed)) == (point, mixed)
 
 
 def test_report_document_layout():

@@ -270,6 +270,18 @@ def test_invalid_flags_exit_three():
         assert "_positive_int" not in err, args
     assert run_cli("nonsense")[0] == 3
     assert run_cli()[0] == 3
+    # int() would take underscores and other scripts' digits; the flags
+    # take ASCII digits, as matrix entries and point values do
+    for args in (("verify-paper", "--seed", "1_0"), ("verify-paper", "--budget", "١٠٠٠"),
+                 ("classify", "--k", "٣"), ("classify", "--seed", "٣"),
+                 ("classify", "--budget", "1_000"), ("det", "--subset", "١,٧,١٠"),
+                 ("det", "--subset", "1,7,1_0")):
+        code, _, err = run_cli(*args)
+        assert code == 3, args
+        assert "Traceback" not in err, args
+    # surrounding whitespace and the seed's sign still parse
+    assert run_cli("classify", "--k", " 1 ", "--seed", "-1")[0] == 0
+    assert run_cli("det", "--subset", " 1, 7 ,10")[1] == "a1*b1*c1\n"
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -306,6 +318,18 @@ def test_missing_matrix_file_exits_three(tmp_path):
                            "--subset", "1")
     assert code == 3
     assert "error:" in err
+
+
+@pytest.mark.parametrize("module", ["seprkit", "seprkit.cli"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    # every CLI call pays for the import: dataclasses pulls in inspect,
+    # ast, dis and tokenize.  -S keeps site hooks from loading modules.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (f"import sys, {module}; "
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          encoding="utf-8", env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False\n", "")
 
 
 def test_help_lists_defaults():
