@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-from pathlib import Path
 
 from .certify import FAIL, INCONCLUSIVE, PASS, verify_paper_claims
 from .minors import all_principal_minors, principal_minor
@@ -46,6 +45,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+class _DefaultsFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Help that appends each flag's default, except a default of None,
+    which only means the flag was not given."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
 
 
 def _ascii_int(text: str) -> int | None:
@@ -84,7 +93,7 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _DefaultsFormatter
 
     p_verify = sub.add_parser(
         "verify-paper", formatter_class=fmt,
@@ -154,7 +163,8 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
     else:
         rendered = report.render_text()
     if args.output is not None:
-        Path(args.output).write_text(rendered, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(rendered)
     else:
         sys.stdout.write(rendered)
     return _EXIT_BY_STATUS[report.overall]

@@ -10,18 +10,19 @@ ways round it.  A minor whose S no family covers is identically zero.
 the support alone it records these sums for every cover mask at once as a
 plan, a straight-line program of steps slots[t] += slots[a] * slots[b].
 One recorded plan is replayed over polynomials, for the minor table and
-``principal_minor``, and over integers, for the point path
-(``_point_plan``), which records it once per matrix: each point fills the
-entry slots with integers, its rows scaled to clear the denominators that
-the evaluator returns, and replays the steps.  No function here reads the
-monomial layout of ``polyring``; point values come from its one evaluator.
+``principal_minor``, one ``Polynomial._sum_of_products`` call a sum, and
+over integers, for the point path (``_point_plan``), which records it once
+per matrix: each point fills the entry slots with integers, its rows scaled
+to clear the denominators that the evaluator returns, and replays the
+steps.  No function here reads the monomial layout of ``polyring``; point
+values come from its one evaluator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
-from math import lcm
+from itertools import chain, groupby
+from math import comb, lcm
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -36,6 +37,10 @@ MAX_ENUM_DIM = 24
 
 # Slots 0 and 1 of every plan hold the constants 1 and -1.
 _ONE, _MINUS_ONE = 0, 1
+
+# _BYTES_OF_POPCOUNT[j] lists the bytes of popcount j in increasing order.
+_BYTES_OF_POPCOUNT = [list(group) for _, group in
+                      groupby(sorted(range(256), key=int.bit_count), int.bit_count)]
 
 
 def _family_sums(row_entries, required=0) -> tuple[int, list[int], dict[int, int]]:
@@ -138,18 +143,16 @@ def _support(rows, mask: int) -> tuple[list, list]:
 def _symbolic_sums(matrix: SymMatrix, mask: int, required: int) -> dict:
     """{mask: polynomial} of the family sums of A[mask], whose rows above
     the mask's top are dropped: the plan of ``_family_sums`` replayed over
-    polynomials, one ``Polynomial.sum_of`` per recorded sum.  A factor 1
-    or -1 is applied without a product, which would copy every term."""
+    polynomials, one ``Polynomial._sum_of_products`` call per recorded sum."""
     table = matrix.table
     row_entries, entries = _support(matrix.rows[:mask.bit_length()], mask)
     _, steps, sums = _family_sums(row_entries, required)
     one = Polynomial.one(table)
     values = [one, -one, *entries]
+    sum_of_products = Polynomial._sum_of_products
     steps = iter(steps)
     for _, group in groupby(zip(steps, steps, steps), itemgetter(0)):
-        values.append(Polynomial.sum_of(table, [
-            values[b] if a == _ONE else values[a] if b == _ONE else
-            -values[a] if b == _MINUS_ONE else values[a] * values[b] for _, a, b in group]))
+        values.append(sum_of_products(table, [(values[a], values[b]) for _, a, b in group]))
     return {key: values[slot] for key, slot in sums.items()}
 
 
@@ -190,16 +193,17 @@ class MinorTable:
         return self._by_order[k] if 1 <= k <= self.n else ()
 
     def masks_of_order(self, k: int) -> Iterator[int]:
-        """Masks of all size-k subsets in increasing mask order, generated
-        directly (Gosper's hack) rather than by scanning all 2^n masks."""
-        if not 1 <= k <= self.n:
-            return
-        mask, limit = (1 << k) - 1, 1 << self.n
-        while mask < limit:
-            yield mask
-            low = mask & -mask
-            ripple = mask + low
-            mask = ripple | ((ripple ^ mask) >> (low.bit_length() + 1))
+        """Masks of all size-k subsets in increasing mask order: each high
+        part h above the low byte, in increasing order, joined to the
+        increasing bytes of popcount k - popcount(h)."""
+        n = self.n
+        if not 1 <= k <= n:
+            return iter(())
+        if n <= 8:
+            return iter(_BYTES_OF_POPCOUNT[k][:comb(n, k)])
+        return chain.from_iterable(
+            map((high << 8).__or__, _BYTES_OF_POPCOUNT[k - high.bit_count()])
+            for high in range(1 << (n - 8)) if 0 <= k - high.bit_count() <= 8)
 
     def items_of_order(self, k: int) -> Iterator[tuple[int, Polynomial]]:
         """(mask, minor) pairs of all k-minors, zeros included, by mask."""

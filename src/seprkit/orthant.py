@@ -30,6 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import count
 from math import comb
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .minors import minor_values_at
@@ -178,6 +179,12 @@ def format_sign_set(signs: frozenset) -> str:
 
 
 class SignKind(Enum):
+    """A verdict's kind.  ``value`` and ``name`` are C-level getters, as a
+    sparse report reads them once a mask and ``Enum``'s run in Python."""
+
+    value = property(attrgetter("_value_"))
+    name = property(attrgetter("_name_"))
+
     ZERO = "zero"
     POS = "pos"
     NEG = "neg"

@@ -19,16 +19,18 @@ monomials are the private ``_mono_*`` functions below, and ``_mono_indices``
 lists a monomial's variable indices with repetition for the compiled
 evaluator ``Polynomial._evaluator``, the one code that evaluates a
 polynomial at a point; apart from them only ``Polynomial.variable``,
-``constant``, ``degree``, ``_evaluator`` and ``_has_cancellable_term``
-read the layout.
+``constant``, ``degree``, ``_sum_of_products``, ``_evaluator`` and
+``_has_cancellable_term`` read the layout, and a few methods compare a
+monomial with 1, ``(0,)``.
 
 Three shortcuts skip work whose result is known beforehand, and each gives
 the same polynomial as the general code:
 
-* a product with a one-term factor (a constant included) multiplies every
-  term by that term, and the order is multiplicative (m1 > m2 implies
+* a product with a one-term factor multiplies every term of the other by
+  that term, and the order is multiplicative (m1 > m2 implies
   t*m1 > t*m2), so the products come out distinct and already in order
-  and are not merged or sorted;
+  and a lone one is not sorted; a constant term scales the coefficients
+  alone, and a lone product by 1 is the other factor;
 * a polynomial whose monomial content is 1 is its own primitive part up to
   sign, and the gcd scan stops once the content reaches 1;
 * ``reduce_by`` returns (0, m) when lead(D) divides no term of m (see
@@ -54,9 +56,10 @@ __all__ = [
     "reduce_by",
 ]
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-# The only strings RationalPoint.from_mapping hands to Fraction.
-_RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+# The only strings RationalPoint.from_mapping hands to Fraction.  ``re``
+# compiles the pattern on first use, so a run that reads no point from text
+# never compiles it.
+_RATIONAL_PATTERN = r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*"
 
 
 class VariableTable:
@@ -77,11 +80,12 @@ class VariableTable:
             self.add(name)
 
     def add(self, name: str) -> int:
-        """Register ``name`` and return its index (no-op if already known)."""
+        """Register ``name``, an ASCII identifier, and return its index
+        (no-op if already known)."""
         existing = self._index.get(name)
         if existing is not None:
             return existing
-        if not _IDENT_RE.match(name):
+        if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
             raise ValueError(f"invalid variable name {name!r}")
         index = len(self._names)
         self._names.append(name)
@@ -299,7 +303,7 @@ class RationalPoint(_Record):
                 raise ValueError(
                     f"assignment for {name!r} must be an integer or a 'p/q' string")
             try:
-                if isinstance(value, str) and not _RATIONAL_RE.fullmatch(value):
+                if isinstance(value, str) and not re.fullmatch(_RATIONAL_PATTERN, value):
                     raise ValueError(value)
                 exact[name] = Fraction(value)
             except (ValueError, ZeroDivisionError):
@@ -443,18 +447,40 @@ class Polynomial:
         return other
 
     @staticmethod
+    def _sum_of_products(table: VariableTable, pairs: Sequence[tuple]) -> "Polynomial":
+        """The sum of a*b over the (a, b) pairs of polynomials over
+        ``table``, the one product and sum kernel: each term of the factor
+        with fewer terms multiplies every term of the other, all into one
+        dict, sorted once, or not at all for a lone product by one term."""
+        merged: dict[tuple, int] = {}
+        get = merged.get
+        for a, b in pairs:
+            if a.table is not table:
+                _check_tables(table, a.table)
+            if b.table is not table:
+                _check_tables(table, b.table)
+            if len(a._terms) < len(b._terms):
+                a, b = b, a
+            for mono, coeff in b._terms.items():
+                if mono != (0,):
+                    for m, c in a._terms.items():
+                        m = _mono_mul(m, mono)
+                        merged[m] = get(m, 0) + c * coeff
+                elif coeff == 1 and len(pairs) == 1 and len(b._terms) == 1:
+                    return a
+                else:
+                    for m, c in a._terms.items():
+                        merged[m] = get(m, 0) + c * coeff
+        if len(pairs) == 1 and len(b._terms) == 1:
+            return Polynomial._of_ordered(table, merged)
+        return Polynomial(table, merged)
+
+    @staticmethod
     def sum_of(table: VariableTable, polys: Sequence["Polynomial"]) -> "Polynomial":
         """The sum of ``polys``, merged and sorted once rather than once per
         addition."""
-        if len(polys) == 1:
-            _check_tables(table, polys[0].table)
-            return polys[0]
-        merged: dict[tuple, int] = {}
-        for p in polys:
-            _check_tables(table, p.table)
-            for mono, coeff in p._terms.items():
-                merged[mono] = merged.get(mono, 0) + coeff
-        return Polynomial(table, merged)
+        one = Polynomial._of_ordered(table, {(0,): 1})
+        return Polynomial._sum_of_products(table, [(p, one) for p in polys])
 
     def __add__(self, other: "Polynomial | int") -> "Polynomial":
         return Polynomial.sum_of(self.table, (self, self._coerce(other)))
@@ -471,19 +497,7 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
-        other = self._coerce(other)
-        many, one = (other, self) if len(self._terms) == 1 else (self, other)
-        if len(one._terms) == 1:
-            # t*m1 > t*m2 whenever m1 > m2, so the terms stay in order
-            (mono, coeff), = one._terms.items()
-            return Polynomial._of_ordered(self.table, {
-                _mono_mul(m, mono): c * coeff for m, c in many._terms.items()})
-        product: dict[tuple, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
-                product[mono] = product.get(mono, 0) + c1 * c2
-        return Polynomial(self.table, product)
+        return Polynomial._sum_of_products(self.table, ((self, self._coerce(other)),))
 
     __rmul__ = __mul__
 

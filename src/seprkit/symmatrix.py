@@ -12,7 +12,7 @@ the grammar of :mod:`seprkit.exprparse`.  All external indices are 1-based.
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exprparse import ParseError, parse_entry
@@ -95,7 +95,8 @@ class SymMatrix:
 
 
 def matrix_from_document(document: Mapping) -> SymMatrix:
-    """Build a matrix from a parsed matrix-file document."""
+    """Build a matrix from a parsed matrix-file document; each entry
+    ``"0"`` is one shared zero, and any other text is parsed."""
     if not isinstance(document, Mapping):
         raise MatrixFormatError("matrix document must be a JSON object")
     try:
@@ -118,7 +119,7 @@ def matrix_from_document(document: Mapping) -> SymMatrix:
             raise MatrixFormatError(str(exc)) from None
     if not isinstance(entries, list) or len(entries) != n:
         raise MatrixFormatError(f"'entries' must be a list of {n} rows")
-    rows = []
+    rows, zero = [], Polynomial.zero(table)
     for i, raw_row in enumerate(entries, start=1):
         if not isinstance(raw_row, list) or len(raw_row) != n:
             raise MatrixFormatError(f"row {i} must hold exactly {n} entries")
@@ -127,7 +128,7 @@ def matrix_from_document(document: Mapping) -> SymMatrix:
             if not isinstance(text, str):
                 raise MatrixFormatError(f"entry ({i},{j}) must be a string expression")
             try:
-                row.append(parse_entry(text, table))
+                row.append(zero if text == "0" else parse_entry(text, table))
             except ParseError as exc:
                 raise MatrixFormatError(
                     f"entry ({i},{j}): {exc.args[0]}"
@@ -145,16 +146,21 @@ def matrix_to_document(matrix: SymMatrix) -> dict:
     }
 
 
-def load_matrix(path: "str | Path") -> SymMatrix:
+def _read_text(path: "str | os.PathLike[str]") -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+def load_matrix(path: "str | os.PathLike[str]") -> SymMatrix:
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
+        document = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
     return matrix_from_document(document)
 
 
 PAPER_MATRIX_DOCUMENT = json.loads(
-    (Path(__file__).parent / "data" / "paper12.json").read_text(encoding="utf-8"))
+    _read_text(os.path.join(os.path.dirname(__file__), "data", "paper12.json")))
 
 
 def paper_matrix() -> SymMatrix:

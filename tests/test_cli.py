@@ -323,18 +323,29 @@ def test_missing_matrix_file_exits_three(tmp_path):
 @pytest.mark.parametrize("module", ["seprkit", "seprkit.cli"])
 def test_import_loads_neither_dataclasses_nor_inspect(module):
     # every CLI call pays for the import: dataclasses pulls in inspect,
-    # ast, dis and tokenize.  -S keeps site hooks from loading modules.
+    # ast, dis and tokenize, and pathlib pulls in urllib.parse and
+    # ipaddress.  -S keeps site hooks from loading modules.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = (f"import sys, {module}; "
-            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+            "print([name in sys.modules for name in ('dataclasses', 'inspect', 'pathlib')])")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           encoding="utf-8", env={**os.environ, "PYTHONPATH": src})
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[False, False, False]\n", "")
 
 
 def test_help_lists_defaults():
-    code, out, _ = run_cli("verify-paper", "--help")
-    assert code == 0
-    flat = " ".join(out.split())  # undo argparse line wrapping
-    assert "default: 1000" in flat
-    assert "default: 0" in flat
+    # every subcommand's help shows its flags' defaults; a default of None
+    # only means the flag was not given, so no help line says so
+    matrix = "(default: the built-in 12x12 matrix)"
+    for command, defaults in (
+            ("verify-paper", ["(default: 1000)", "(default: 0)", "(default: text)"]),
+            ("det", [matrix]),
+            ("sepr", [matrix]),
+            ("classify", [matrix, "(default: all orders)", "(default: 1000)",
+                          "(default: 0)"])):
+        code, out, _ = run_cli(command, "--help")
+        assert code == 0
+        flat = " ".join(out.split())  # undo argparse line wrapping
+        for default in defaults:
+            assert default in flat, command
+        assert "(default: None)" not in flat, command

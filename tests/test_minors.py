@@ -212,6 +212,29 @@ def test_all_principal_minors_match_leibniz_on_sparse_grids():
                 principal_minor(m, mask)
 
 
+def test_all_principal_minors_match_leibniz_on_multi_term_entries():
+    # entries of several terms, constants, a repeated variable and terms
+    # that cancel between entries, so the replay multiplies two sums of
+    # several terms, multiplies by one term, and applies the factors 1 and
+    # -1; the oracle multiplies and adds the entries as polynomials
+    table = VariableTable(["x", "y", "z"])
+    x, y, z = (Polynomial.variable(table, name) for name in "xyz")
+    one = Polynomial.one(table)
+    pool = [x, -y, z * z, x * y - 2, x + y + 1, x - y, y - x, 3 * one, -one, one,
+            x * x * z - z + 2, 2 * x + 3 * y * z, x * x - 2 * x + 1]
+    zero = Polynomial.zero(table)
+    rng = random.Random(7171)
+    for trial in range(24):
+        n = 3 + trial % 5
+        density = 0.7 if n <= 5 else 0.35
+        grid = [[rng.choice(pool) if rng.random() < density else zero for _ in range(n)]
+                for _ in range(n)]
+        minors = all_principal_minors(SymMatrix(table, grid))
+        for mask in range(1, 1 << n):
+            det = leibniz_det(principal_subgrid(grid, mask))
+            assert minors.minor(mask) == det, f"trial {trial}, mask {mask:b}"
+
+
 def test_point_values_match_symbolic_minors_on_sparse_grids():
     rng = random.Random(4343)
     for trial in range(60):
@@ -565,11 +588,17 @@ def test_threads_evaluating_a_fresh_matrix_give_the_serial_values():
 
 
 def test_masks_of_order_equals_the_popcount_scan():
-    for n in range(1, 11):
+    # every order up to n = 10, then sampled orders up to n = 16, and the
+    # out-of-range orders -1, 0 and n + 1 everywhere
+    rng = random.Random(1616)
+    for n in range(1, 17):
         table = MinorTable(n, {}, Polynomial.zero(VariableTable()))
-        for k in range(-1, n + 2):
-            expected = [mask for mask in range(1, 1 << n) if mask.bit_count() == k]
-            assert list(table.masks_of_order(k)) == expected, (n, k)
+        orders = range(1, n + 1) if n <= 10 else rng.sample(range(1, n + 1), 4)
+        by_order = {k: [] for k in range(n + 2)}
+        for mask in range(1, 1 << n):
+            by_order[mask.bit_count()].append(mask)
+        for k in (-1, 0, n + 1, *orders):
+            assert list(table.masks_of_order(k)) == by_order.get(k, []), (n, k)
 
 
 # ------------------------------------------------------- cycle-cover masks
@@ -675,15 +704,16 @@ def test_determinant_of_a_sparse_matrix_is_linear_in_its_order(monkeypatch):
     def check_sub_mask(grid, mask, limit, expected):
         sub = principal_subgrid(grid, mask)
         recorded = check(sub, (1 << len(sub)) - 1, limit, expected)
-        # principal_minor makes one Polynomial.sum_of per recorded sum
-        table, sum_of, calls = VariableTable(), Polynomial.sum_of, []
+        # principal_minor makes one Polynomial._sum_of_products call per
+        # recorded sum
+        table, kernel, calls = VariableTable(), Polynomial._sum_of_products, []
 
-        def counted(table, polys):
-            calls.append(len(polys))
-            return sum_of(table, polys)
+        def counted(table, pairs):
+            calls.append(len(pairs))
+            return kernel(table, pairs)
 
         with monkeypatch.context() as patch:
-            patch.setattr(Polynomial, "sum_of", staticmethod(counted))
+            patch.setattr(Polynomial, "_sum_of_products", staticmethod(counted))
             assert principal_minor(int_matrix(table, grid), mask) == expected
         assert len(calls) == recorded
 

@@ -1,6 +1,8 @@
 """Seeded sampling, sign classification, and point sepr-sequences."""
 
+import copy
 import gc
+import pickle
 import random
 import sys
 import threading
@@ -99,6 +101,26 @@ def test_negative_and_huge_seeds_are_masked():
     assert Lcg64(-1).state == Lcg64(2 ** 64 - 1).state == 2 ** 64 - 1
     assert Lcg64(-1).point(table) == Lcg64(2 ** 64 - 1).point(table)
     assert _stream_of(table, -1) is _stream_of(table, 2 ** 64 - 1)
+
+
+def test_sign_kind_reads_looks_up_and_copies_as_an_enum():
+    # value and name are read through plain getters; lookup, order, text,
+    # pickle and copies behave as for any Enum
+    expected = [("ZERO", "zero"), ("POS", "pos"), ("NEG", "neg"), ("MIXED", "mixed"),
+                ("UNRESOLVED", "unresolved")]
+    assert [(kind.name, kind.value) for kind in SignKind] == expected
+    assert list(SignKind.__members__) == [name for name, _ in expected]
+    for name, value in expected:
+        kind = SignKind[name]
+        assert SignKind(value) is kind and getattr(SignKind, name) is kind
+        assert pickle.loads(pickle.dumps(kind)) is kind
+        assert copy.deepcopy(kind) is kind and copy.copy(kind) is kind
+        assert (repr(kind), str(kind)) == (f"<SignKind.{name}: {value!r}>", f"SignKind.{name}")
+    assert classify_polynomial(Polynomial.zero(VariableTable())).kind.value == "zero"
+    with pytest.raises(ValueError):
+        SignKind("Pos")
+    with pytest.raises(KeyError):
+        SignKind["value"]
 
 
 # ------------------------------------------------------------ classification

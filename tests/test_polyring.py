@@ -1,6 +1,7 @@
 """Ring axioms, term order, exact evaluation, and division."""
 
 import random
+import re
 from fractions import Fraction
 from math import prod
 from unittest import mock
@@ -60,11 +61,23 @@ def test_variable_table_assigns_indices_in_declaration_order():
 
 def test_variable_table_rejects_bad_names():
     table = VariableTable()
-    for bad in ("", "1x", "a-b", "a b", "a$"):
-        with pytest.raises(ValueError):
+    for bad in ("", "1x", "a-b", "a b", "a$", "x\n", " x", "é", "xé", "ſ", "x²", 7, None):
+        with pytest.raises(ValueError, match="invalid variable name"):
             table.add(bad)
     with pytest.raises(ValueError):
         table.index("missing")
+    # a name is accepted exactly when it spells [A-Za-z_][A-Za-z0-9_]*
+    rng = random.Random(6161)
+    alphabet = "aZ_09 -$\n\té²ſ"
+    for _ in range(2000):
+        name = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
+        good = bool(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name))
+        try:
+            table.add(name)
+        except ValueError:
+            assert not good, repr(name)
+        else:
+            assert good, repr(name)
 
 
 # ---------------------------------------------------------------- monomials
@@ -242,6 +255,41 @@ def test_one_term_products_keep_the_order():
             assert all(grlex_less(low, high) for (high, _), (low, _) in zip(terms, terms[1:]))
 
     _for_all(check, polynomials, one_terms)
+
+
+def test_sum_of_products_matches_the_reference_products():
+    # the one product and sum kernel against products term by term: pairs
+    # of several terms, of one term, of the constants 1, -1 and 3, and of
+    # zero, alone and together, come out merged and in strict order
+    table = fresh_table()
+    rng = random.Random(5151)
+    one = Polynomial.one(table)
+    constants = [one, -one, 3 * one, Polynomial.zero(table)]
+
+    def factor():
+        if rng.random() < 0.3:
+            return rng.choice(constants)
+        return random_polynomial(rng, table, max_terms=rng.choice([1, 1, 5]))
+
+    for trial in range(400):
+        pairs = [(factor(), factor()) for _ in range(rng.randint(1, 4))]
+        merged = {}
+        for a, b in pairs:
+            for mono, coeff in product_reference(a, b).terms():
+                merged[mono] = merged.get(mono, 0) + coeff
+        got = Polynomial._sum_of_products(table, pairs)
+        assert got == Polynomial(table, merged), f"trial {trial}: {pairs}"
+        terms = list(got.terms())
+        assert all(coeff for _, coeff in terms)
+        assert all(grlex_less(low, high) for (high, _), (low, _) in zip(terms, terms[1:]))
+    # a lone product by 1 is the other factor itself, as is a sum of one
+    p = var(table, "a1") + var(table, "b2") * var(table, "b3") - 7
+    for pair in ((p, one), (one, p)):
+        assert Polynomial._sum_of_products(table, [pair]) is p
+    assert Polynomial.sum_of(table, [p]) is p
+    assert Polynomial.sum_of(table, []) == Polynomial.zero(table)
+    with pytest.raises(ValueError, match="variable table mismatch"):
+        Polynomial._sum_of_products(table, [(p, Polynomial.variable(VariableTable(), "z"))])
 
 
 # ------------------------------------------------------------- ring axioms

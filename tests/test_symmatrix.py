@@ -15,6 +15,7 @@ from seprkit import (
     matrix_from_document,
     matrix_to_document,
     paper_matrix,
+    parse_entry,
 )
 from seprkit.symmatrix import PAPER_MATRIX_DOCUMENT
 from _oracles import principal_subgrid, transposed
@@ -117,6 +118,36 @@ def test_entry_syntax_error_reports_row_column_and_offset():
         matrix_from_document(doc)
     assert "entry (2,1): integer literal of 5000 digits" in str(info.value)
     assert "offset 2" in str(info.value)
+
+
+def test_zero_entries_equal_the_parser_and_declare_nothing():
+    # an entry spelled "0" is one shared zero that skips the parser: it
+    # equals the parser's result, declares no variable and renders back as
+    # "0"; every other spelling of zero goes through the parser
+    doc = {"n": 3, "variables": ["x"], "entries": [["0", "x", "0"], ["0", "0", "0"],
+                                                   ["-x", "0", "0"]]}
+    m = matrix_from_document(doc)
+    assert matrix_to_document(m) == doc
+    assert m.table.names == ("x",)
+    table = VariableTable(["x"])
+    assert m.rows == tuple(tuple(parse_entry(text, table) for text in row)
+                           for row in doc["entries"])
+    assert m.rows[0][0] is m.rows[1][2] is m.rows[2][2]
+    only_zeros = matrix_from_document({"n": 2, "entries": [["0", "0"], ["0", "0"]]})
+    assert only_zeros.table.names == ()
+    assert all(entry == parse_entry("0", VariableTable()) for row in only_zeros.rows
+               for entry in row)
+    texts = [" 0", "-0", "00", "0*x"]
+    m = matrix_from_document({"n": 2, "entries": [texts[:2], texts[2:]]})
+    table = VariableTable()
+    assert m.rows == tuple(tuple(parse_entry(text, table) for text in row)
+                           for row in (texts[:2], texts[2:]))
+    assert m.table.names == table.names == ("x",)
+    # a bad entry after a "0" still names its (i,j)
+    for bad, message in (("x +", r"entry \(2,2\): .*offset 3"),
+                         (0, r"entry \(2,2\) must be a string")):
+        with pytest.raises(MatrixFormatError, match=message):
+            matrix_from_document({"n": 2, "entries": [["0", "0"], ["0", bad]]})
 
 
 def test_load_matrix_rejects_invalid_json(tmp_path):
