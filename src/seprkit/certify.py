@@ -13,7 +13,8 @@ point):
   drawn from sound coefficient rules.  A sign concluded in all three cases
   holds at every positive point, because each point lands in exactly one
   case.  The winning test's decompositions are kept in the certificate.
-  A test divides a minor only where the result is not known beforehand
+  One rule, ``_decompose``, draws every case conclusion from sign(m), q
+  and r; a test divides a minor only where (q, r) is not known beforehand
   (see ``certify_level``).
 
 ``analyze`` runs the pipeline on any square matrix, assuming no answer;
@@ -115,13 +116,12 @@ class CaseDecomposition(NamedTuple):
         }
 
 
-def _decompose(m: Polynomial, sign: str | None, D: Polynomial,
-               mask: int) -> CaseDecomposition:
-    """Divide minor ``mask``, m, by the nonzero pivot D and apply the sound
-    sign rules case by case, given m's own sign(m).
-
-    With (q, r) = reduce_by(m, D), sign(x) is the sign that x's coefficients
-    share (all zero, all positive or all negative), else None (unknown):
+def _decompose(mask: int, m: Polynomial, sign: str | None, q: Polynomial,
+               r: Polynomial) -> CaseDecomposition:
+    """The decomposition m = q*D + r of minor ``mask``, m, by the nonzero
+    pivot D, with the sound sign rules applied case by case.  sign(x) is
+    the sign that x's coefficients share (all zero, all positive or all
+    negative), else None (unknown), and ``sign`` is sign(m):
 
     * constant-sign m gets sign(m) in all three cases;
     * otherwise, as m = q*D + r: case D>0 concludes the sign of a sum of
@@ -129,11 +129,10 @@ def _decompose(m: Polynomial, sign: str | None, D: Polynomial,
       case D=0 (where m = r) concludes sign(r).
 
     A sum's sign is unknown when a summand's is or the two oppose; the rules
-    never guess.
+    never guess.  With q = 0 (so r = m) every case concludes sign(m); an
+    owner m = s*c*D, with q = s*c and r = 0, gets (s, -s, 0).
     """
-    q, r = reduce_by(m, D)
-    # with q = 0, r = m and every case concludes sign(m), or nothing for None
-    if sign is not None or q.is_zero():
+    if sign is not None:
         return CaseDecomposition(mask, m, q, r, (sign, sign, sign))
     sq = _CONSTANT_SIGN.get(q.coeff_sign_summary())
     sr = _CONSTANT_SIGN.get(r.coeff_sign_summary())
@@ -223,14 +222,13 @@ def _candidates(mixed: Iterable[tuple[int, Polynomial]]) -> list[tuple[Polynomia
     return ordered
 
 
-def _owner_decomposition(m: Polynomial, pivot: Polynomial, mask: int) -> CaseDecomposition:
-    """``_decompose`` of an owner m = s*c*D of the pivot, c its monomial
-    content and s its leading sign: q = s*c and r = 0."""
+def _owner_division(m: Polynomial, pivot: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """``reduce_by(m, pivot)`` of an owner m = s*c*D of the pivot, c its
+    monomial content and s its leading sign, with no division: (s*c, 0)."""
     s = 1 if m.leading_coefficient() > 0 else -1
-    q = Polynomial._of_ordered(m.table, {
-        _mono_quotient(m.leading_monomial(), pivot.leading_monomial()): s})
-    sign = "+" if s > 0 else "-"
-    return CaseDecomposition(mask, m, q, Polynomial.zero(m.table), (sign, _NEGATED[sign], "0"))
+    return (Polynomial._of_ordered(m.table, {
+        _mono_quotient(m.leading_monomial(), pivot.leading_monomial()): s}),
+        Polynomial.zero(m.table))
 
 
 def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertification:
@@ -245,7 +243,7 @@ def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertifi
     signs are reported).
 
     A trial of candidate D divides a mixed minor m only when the result is
-    not known: an owner of D (m = s*c*D) is decomposed directly, and an m
+    not known: an owner of D (m = s*c*D) has q = s*c and r = 0, and an m
     where lead(D) divides no term gives (0, m), which concludes nothing, so
     the trial leaves it out and builds it only if D wins.
     """
@@ -266,13 +264,15 @@ def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertifi
 
     for pivot, owners in _candidates(mixed.items()):
         lead_mono, lead_coeff = pivot.leading_term()
-        trial = {mask: _owner_decomposition(mixed[mask], pivot, mask) for mask in owners}
-        trial.update((mask, _decompose(m, None, pivot, mask)) for mask, m in mixed.items()
+        trial = {mask: _decompose(mask, mixed[mask], None, *_owner_division(mixed[mask], pivot))
+                 for mask in owners}
+        trial.update((mask, _decompose(mask, m, None, *reduce_by(m, pivot)))
+                     for mask, m in mixed.items()
                      if mask not in trial and _has_cancellable_term(m, lead_mono, lead_coeff))
         if missing <= _concluded_everywhere(list(trial.values())):
             guaranteed |= missing
             # the won trial's decompositions join those of the other minors
-            decs = tuple(trial.get(mask) or _decompose(m, sign, pivot, mask)
+            decs = tuple(trial.get(mask) or _decompose(mask, m, sign, *reduce_by(m, pivot))
                          for mask, m, sign in level)
             return LevelCertification(guaranteed, METHOD_PIVOT,
                                       Certificate(k, pivot, decs, guaranteed))

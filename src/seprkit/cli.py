@@ -29,7 +29,7 @@ from .orthant import (
     sepr_at_point,
 )
 from .polyring import RationalPoint
-from .symmatrix import IndexSet, SymMatrix, load_matrix, paper_matrix
+from .symmatrix import IndexSet, SymMatrix, _read_json, load_matrix, paper_matrix
 
 __all__ = ["main"]
 
@@ -49,10 +49,11 @@ class _Parser(argparse.ArgumentParser):
 
 class _DefaultsFormatter(argparse.ArgumentDefaultsHelpFormatter):
     """Help that appends each flag's default, except a default of None,
-    which only means the flag was not given."""
+    which only means the flag was not given, and that of a flag that takes
+    no argument."""
 
     def _get_help_string(self, action):
-        if action.default is None:
+        if action.default is None or action.nargs == 0:
             return action.help
         return super()._get_help_string(action)
 
@@ -177,8 +178,7 @@ def _cmd_det(args: argparse.Namespace) -> int:
 
 
 def _load_assignment(matrix: SymMatrix, path: str) -> RationalPoint:
-    with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
+    document = _read_json(path)
     if not isinstance(document, dict):
         raise ValueError("assignment document must be a JSON object")
     return RationalPoint.from_mapping(matrix.table, document)

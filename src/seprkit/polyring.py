@@ -30,7 +30,7 @@ the same polynomial as the general code:
   that term, and the order is multiplicative (m1 > m2 implies
   t*m1 > t*m2), so the products come out distinct and already in order
   and a lone one is not sorted; a constant term scales the coefficients
-  alone, and a lone product by 1 is the other factor;
+  alone;
 * a polynomial whose monomial content is 1 is its own primitive part up to
   sign, and the gcd scan stops once the content reaches 1;
 * ``reduce_by`` returns (0, m) when lead(D) divides no term of m (see
@@ -132,10 +132,6 @@ def _check_tables(a: VariableTable, b: VariableTable) -> None:
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
     """The product a*b."""
-    if len(a) == 1:
-        return b
-    if len(b) == 1:
-        return a
     out = [a[0] + b[0]]
     i = j = 1
     len_a, len_b = len(a), len(b)
@@ -466,8 +462,6 @@ class Polynomial:
                     for m, c in a._terms.items():
                         m = _mono_mul(m, mono)
                         merged[m] = get(m, 0) + c * coeff
-                elif coeff == 1 and len(pairs) == 1 and len(b._terms) == 1:
-                    return a
                 else:
                     for m, c in a._terms.items():
                         merged[m] = get(m, 0) + c * coeff

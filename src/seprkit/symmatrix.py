@@ -151,12 +151,17 @@ def _read_text(path: "str | os.PathLike[str]") -> str:
         return handle.read()
 
 
-def load_matrix(path: "str | os.PathLike[str]") -> SymMatrix:
+def _read_json(path: "str | os.PathLike[str]") -> object:
+    """The JSON document in file ``path``: text that is not JSON, or nests
+    too deeply for the decoder, is a one-line MatrixFormatError."""
     try:
-        document = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        return json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
-    return matrix_from_document(document)
+
+
+def load_matrix(path: "str | os.PathLike[str]") -> SymMatrix:
+    return matrix_from_document(_read_json(path))
 
 
 PAPER_MATRIX_DOCUMENT = json.loads(

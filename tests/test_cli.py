@@ -335,7 +335,9 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
 
 def test_help_lists_defaults():
     # every subcommand's help shows its flags' defaults; a default of None
-    # only means the flag was not given, so no help line says so
+    # only means the flag was not given, and a flag that takes no argument
+    # has no value to show, so no help line says either (0 == False, yet
+    # --seed's 0 is shown)
     matrix = "(default: the built-in 12x12 matrix)"
     for command, defaults in (
             ("verify-paper", ["(default: 1000)", "(default: 0)", "(default: text)"]),
@@ -349,3 +351,4 @@ def test_help_lists_defaults():
         for default in defaults:
             assert default in flat, command
         assert "(default: None)" not in flat, command
+        assert "(default: False)" not in flat, command

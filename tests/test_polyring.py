@@ -86,7 +86,8 @@ def test_variable_table_rejects_bad_names():
 # seprkit.polyring.  These tests encode and decode that layout with the
 # oracles' own helpers and reach polyring's monomial arithmetic only through
 # polynomials: a product through ``*``, a quotient through ``reduce_by`` and a
-# gcd through ``monomial_content``.
+# gcd through ``monomial_content``.  Only the unit-product check calls
+# ``_mono_mul`` itself: a product scales by a constant term without it.
 
 
 def test_monomial_multiplication_and_division():
@@ -102,6 +103,15 @@ def test_monomial_multiplication_and_division():
     assert (term(table, m) + term(table, monomial({0: 1, 2: 5}))).monomial_content() == d
     assert Polynomial.one(table).leading_monomial() == (0,)
     assert term(table, m).degree == 3
+
+
+def test_a_product_with_the_unit_monomial_is_the_other_factor():
+    # _mono_mul has no case of its own for 1: the general merge gives it
+    rng = random.Random(4242)
+    for mono in [(0,), monomial({0: 2, 1: 1})] + [random_monomial(rng, 6) for _ in range(50)]:
+        for product in (polyring._mono_mul((0,), mono), polyring._mono_mul(mono, (0,))):
+            assert type(product) is tuple
+            assert product == mono == monomial_product(mono, (0,))
 
 
 def test_equal_monomials_hash_equal_however_built():
@@ -282,11 +292,11 @@ def test_sum_of_products_matches_the_reference_products():
         terms = list(got.terms())
         assert all(coeff for _, coeff in terms)
         assert all(grlex_less(low, high) for (high, _), (low, _) in zip(terms, terms[1:]))
-    # a lone product by 1 is the other factor itself, as is a sum of one
+    # a lone product by 1 equals the other factor, as does a sum of one
     p = var(table, "a1") + var(table, "b2") * var(table, "b3") - 7
     for pair in ((p, one), (one, p)):
-        assert Polynomial._sum_of_products(table, [pair]) is p
-    assert Polynomial.sum_of(table, [p]) is p
+        assert Polynomial._sum_of_products(table, [pair]) == p
+    assert Polynomial.sum_of(table, [p]) == p
     assert Polynomial.sum_of(table, []) == Polynomial.zero(table)
     with pytest.raises(ValueError, match="variable table mismatch"):
         Polynomial._sum_of_products(table, [(p, Polynomial.variable(VariableTable(), "z"))])

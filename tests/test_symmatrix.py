@@ -152,9 +152,11 @@ def test_zero_entries_equal_the_parser_and_declare_nothing():
 
 def test_load_matrix_rejects_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(MatrixFormatError, match="invalid JSON"):
-        load_matrix(path)
+    for text in ("{not json", '{"n": 1, "entries": ' + "[" * 2000 + "]" * 2000 + "}"):
+        path.write_text(text, encoding="utf-8")
+        # too deep for the decoder is bad input too, not a RecursionError
+        with pytest.raises(MatrixFormatError, match="^invalid JSON: "):
+            load_matrix(path)
 
 
 # ---------------------------------------------------------- built-in matrix
