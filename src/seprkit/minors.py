@@ -9,13 +9,13 @@ ways round it.  A minor whose S no family covers is identically zero.
 ``_family_sums`` is the one determinant engine.  It computes no value: from
 the support alone it records these sums for every cover mask at once as a
 plan, a straight-line program of steps slots[t] += slots[a] * slots[b].
-One recorded plan is replayed over polynomials, for the minor table and
-``principal_minor``, one ``Polynomial._sum_of_products`` call a sum, and
-over integers, for the point path (``_point_plan``), which records it once
-per matrix: each point fills the entry slots with integers, its rows scaled
-to clear the denominators that the evaluator returns, and replays the
-steps.  No function here reads the monomial layout of ``polyring``; point
-values come from its one evaluator.
+One recorded plan is replayed over term dicts, for the minor table and
+``principal_minor``, with one ``_accumulate`` call per run of steps into a
+slot and one sort per minor, and over integers, for the point path
+(``_point_plan``), which records it once per matrix: each point fills the
+entry slots with integers, its rows scaled to clear the denominators that
+the evaluator returns, and replays the steps.  No function here reads the
+monomial layout of ``polyring``; point values come from its one evaluator.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import comb, lcm
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .polyring import Polynomial, RationalPoint, _point_lists
+from .polyring import Polynomial, RationalPoint, _accumulate, _point_lists
 from .symmatrix import SymMatrix
 
 __all__ = ["MinorTable", "principal_minor", "all_principal_minors", "minor_values_at",
@@ -51,13 +51,15 @@ def _family_sums(row_entries, required=0) -> tuple[int, list[int], dict[int, int
 
     ``row_entries[i]`` lists the (column, slot) pairs of row i's support,
     the edges i -> column of the support digraph, whose entries fill slots
-    2, 3, ... in order.  Each sum gets the next free slot and writes its
-    terms as steps (target, a, b), meaning slots[target] += slots[a] *
-    slots[b], into one flat list of ints, so a sum's steps are contiguous
-    and the sums' slots ascend.  A sum of the lone term 1 * x is the slot
-    of x itself.  The keys depend on the support alone: an entry that is
-    zero, as one may be at a point, is still an edge, and a sum that
-    cancels to zero keeps its key.
+    2, 3, ... in order.  A sum writes its terms as steps (target, a, b),
+    meaning slots[target] += slots[a] * slots[b], into one flat list of
+    ints.  A new sum takes the next free slot, or is the slot of x itself
+    if it is the lone term 1 * x.  A union that a later round reaches
+    again adds its new terms into the slot it has: only the mask of a loop
+    keeps an entry's slot, and no later round reaches it, so no step
+    targets an entry or a constant.  The keys depend on the support alone:
+    an entry that is zero, as one may be at a point, is still an edge, and
+    a sum that cancels to zero keeps its key.
 
     For v = 0 up to n-1, a path-sum DP walks the paths that start at v and
     then visit only vertices above v.  A state is (last vertex, visited
@@ -81,15 +83,15 @@ def _family_sums(row_entries, required=0) -> tuple[int, list[int], dict[int, int
                          f"(n > {MAX_ENUM_DIM})")
     size, steps = 2 + sum(map(len, row_entries)), []
 
-    def total(terms: list[tuple[int, int]]) -> int:
+    def total(terms: list[tuple[int, int]], target: int | None = None) -> int:
         nonlocal size
-        if len(terms) == 1 and _ONE in terms[0]:
-            a, b = terms[0]
-            return b if a == _ONE else a
-        target = size
+        if target is None:
+            if len(terms) == 1 and _ONE in terms[0]:
+                a, b = terms[0]
+                return b if a == _ONE else a
+            target, size = size, size + 1
         for a, b in terms:
             steps.extend((target, a, b))
-        size = target + 1
         return target
 
     sums = {0: _ONE}
@@ -115,9 +117,7 @@ def _family_sums(row_entries, required=0) -> tuple[int, list[int], dict[int, int
                 if not r & cycle:
                     joined.setdefault(r | cycle, []).append((base, weight))
         for mask, terms in joined.items():
-            if mask in sums:
-                terms.append((sums[mask], _ONE))
-            sums[mask] = total(terms)
+            sums[mask] = total(terms, sums.get(mask))
         if required & start:
             sums = {r: slot for r, slot in sums.items() if r & start}
     return size, steps, sums
@@ -143,17 +143,22 @@ def _support(rows, mask: int) -> tuple[list, list]:
 def _symbolic_sums(matrix: SymMatrix, mask: int, required: int) -> dict:
     """{mask: polynomial} of the family sums of A[mask], whose rows above
     the mask's top are dropped: the plan of ``_family_sums`` replayed over
-    polynomials, one ``Polynomial._sum_of_products`` call per recorded sum."""
+    term dicts, one ``_accumulate`` call per run of steps into one slot's
+    dict.  Only the keyed sums are sorted, each dict let go once sorted."""
     table = matrix.table
     row_entries, entries = _support(matrix.rows[:mask.bit_length()], mask)
     _, steps, sums = _family_sums(row_entries, required)
     one = Polynomial.one(table)
-    values = [one, -one, *entries]
-    sum_of_products = Polynomial._sum_of_products
+    values = [one._terms, (-one)._terms, *(entry._terms for entry in entries)]
     steps = iter(steps)
-    for _, group in groupby(zip(steps, steps, steps), itemgetter(0)):
-        values.append(sum_of_products(table, [(values[a], values[b]) for _, a, b in group]))
-    return {key: values[slot] for key, slot in sums.items()}
+    for target, group in groupby(zip(steps, steps, steps), itemgetter(0)):
+        if target == len(values):
+            values.append({})
+        _accumulate(values[target], [(values[a], values[b]) for _, a, b in group])
+    minors = {}
+    for key, slot in sums.items():
+        minors[key], values[slot] = Polynomial(table, values[slot]), None
+    return minors
 
 
 def principal_minor(matrix: SymMatrix, mask: int) -> Polynomial:

@@ -18,10 +18,10 @@ off a heap of them.  Product, divisibility, quotient, gcd and rendering of
 monomials are the private ``_mono_*`` functions below, and ``_mono_indices``
 lists a monomial's variable indices with repetition for the compiled
 evaluator ``Polynomial._evaluator``, the one code that evaluates a
-polynomial at a point; apart from them only ``Polynomial.variable``,
-``constant``, ``degree``, ``_sum_of_products``, ``_evaluator`` and
-``_has_cancellable_term`` read the layout, and a few methods compare a
-monomial with 1, ``(0,)``.
+polynomial at a point; apart from them only ``_accumulate`` (the one
+product and sum kernel), ``Polynomial.variable``, ``constant``,
+``degree``, ``_evaluator`` and ``_has_cancellable_term`` read the layout,
+and a few methods compare a monomial with 1, ``(0,)``.
 
 Three shortcuts skip work whose result is known beforehand, and each gives
 the same polynomial as the general code:
@@ -149,6 +149,25 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
     out += a[i:]
     out += b[j:]
     return tuple(out)
+
+
+def _accumulate(merged: dict, pairs: Iterable[tuple[dict, dict]]) -> dict:
+    """``merged`` plus a*b for each (a, b) pair of term dicts, added into it
+    unsorted, zeros kept: the one product and sum kernel.  Each term of the
+    factor with fewer terms multiplies every term of the other."""
+    get = merged.get
+    for a, b in pairs:
+        if len(a) < len(b):
+            a, b = b, a
+        for mono, coeff in b.items():
+            if mono != (0,):
+                for m, c in a.items():
+                    m = _mono_mul(m, mono)
+                    merged[m] = get(m, 0) + c * coeff
+            else:
+                for m, c in a.items():
+                    merged[m] = get(m, 0) + c * coeff
+    return merged
 
 
 def _mono_divides(a: tuple, b: tuple) -> bool:
@@ -445,27 +464,15 @@ class Polynomial:
     @staticmethod
     def _sum_of_products(table: VariableTable, pairs: Sequence[tuple]) -> "Polynomial":
         """The sum of a*b over the (a, b) pairs of polynomials over
-        ``table``, the one product and sum kernel: each term of the factor
-        with fewer terms multiplies every term of the other, all into one
-        dict, sorted once, or not at all for a lone product by one term."""
-        merged: dict[tuple, int] = {}
-        get = merged.get
+        ``table``, by ``_accumulate``, sorted once, or not at all for a lone
+        product by one term."""
         for a, b in pairs:
             if a.table is not table:
                 _check_tables(table, a.table)
             if b.table is not table:
                 _check_tables(table, b.table)
-            if len(a._terms) < len(b._terms):
-                a, b = b, a
-            for mono, coeff in b._terms.items():
-                if mono != (0,):
-                    for m, c in a._terms.items():
-                        m = _mono_mul(m, mono)
-                        merged[m] = get(m, 0) + c * coeff
-                else:
-                    for m, c in a._terms.items():
-                        merged[m] = get(m, 0) + c * coeff
-        if len(pairs) == 1 and len(b._terms) == 1:
+        merged = _accumulate({}, [(a._terms, b._terms) for a, b in pairs])
+        if len(pairs) == 1 and min(len(a._terms), len(b._terms)) == 1:
             return Polynomial._of_ordered(table, merged)
         return Polynomial(table, merged)
 
@@ -498,10 +505,10 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative exponent")
-        result = Polynomial.one(self.table)
+        terms = {(0,): 1}
         for _ in range(exponent):
-            result = result * self
-        return result
+            terms = _accumulate({}, ((terms, self._terms),))
+        return Polynomial(self.table, terms)
 
     # -- exact analysis ----------------------------------------------------
 

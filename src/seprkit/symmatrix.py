@@ -152,12 +152,14 @@ def _read_text(path: "str | os.PathLike[str]") -> str:
 
 
 def _read_json(path: "str | os.PathLike[str]") -> object:
-    """The JSON document in file ``path``: text that is not JSON, or nests
-    too deeply for the decoder, is a one-line MatrixFormatError."""
+    """The JSON document in file ``path``: text that is not JSON, nests
+    too deeply for the decoder or has an integer past Python's digit limit
+    is a one-line MatrixFormatError, without that limit's advice."""
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise MatrixFormatError(f"invalid JSON: {exc}") from exc
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MatrixFormatError(f"invalid JSON: {str(exc).partition('; use sys.')[0]}") from exc
 
 
 def load_matrix(path: "str | os.PathLike[str]") -> SymMatrix:

@@ -74,7 +74,8 @@ CASES = {
     "non-utf8-bytes": (DET, {"m.json": b'{"n": 1, "entries": [["\xff\xfe"]]}'}, 3,
                        "'utf-8' codec can't decode byte 0xff"),
     "5000-digit-json-integer": (DET, {"m.json": '{"n": ' + "1" * 5000 + ', "entries": []}'}, 3,
-                                "Exceeds the limit (4300 digits)"),
+                                "invalid JSON: Exceeds the limit (4300 digits) for integer string"
+                                " conversion: value has 5000 digits\n"),
     "deep-json-matrix": (DET, {"m.json": '{"n": 1, "entries": ' + DEEP + "}"}, 3,
                          "invalid JSON: maximum recursion depth exceeded"),
     "assignment-huge-exponent": (SEPR, {"m.json": ONE_X, "a.json": '{"x": "1e3000000"}'}, 3,

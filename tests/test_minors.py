@@ -23,7 +23,7 @@ from seprkit import (
     principal_minor,
     sepr_at_point,
 )
-from seprkit.minors import MAX_ENUM_DIM, _family_sums
+from seprkit.minors import MAX_ENUM_DIM, _accumulate, _family_sums
 from _oracles import (
     constant_matrix,
     cycle_cover_masks_reference,
@@ -233,6 +233,59 @@ def test_all_principal_minors_match_leibniz_on_multi_term_entries():
         for mask in range(1, 1 << n):
             det = leibniz_det(principal_subgrid(grid, mask))
             assert minors.minor(mask) == det, f"trial {trial}, mask {mask:b}"
+
+
+def test_enumeration_leaves_every_entry_as_it_was():
+    # the replay adds into dicts of its own: entries that several cells
+    # share, loops and constants keep their terms through the table and
+    # through every single minor
+    table = VariableTable(["x", "y"])
+    x, y = (Polynomial.variable(table, name) for name in "xy")
+    one = Polynomial.one(table)
+    pool = [x, -y, one, -one, 2 * one, x + y, x * y - 1, Polynomial.zero(table)]
+    rng = random.Random(5757)
+    for trial in range(20):
+        n = rng.randint(1, 6)
+        m = SymMatrix(table, [[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+        before = [list(p.terms()) for p in pool]
+        cells = [[list(entry.terms()) for entry in row] for row in m.rows]
+        all_principal_minors(m)
+        for mask in range(1 << n):
+            principal_minor(m, mask)
+        assert [list(p.terms()) for p in pool] == before, f"trial {trial}"
+        assert [[list(entry.terms()) for entry in row] for row in m.rows] == cells
+
+
+def test_a_sum_that_cancels_as_it_accumulates_is_zero():
+    # det [[x, x], [x, x]]: the 2-cycle gives -x^2, and the loops, one
+    # round later, add x^2 into its slot; the minor is the zero polynomial
+    # and the table keeps no key for it
+    table = VariableTable()
+    x = Polynomial.variable(table, "x")
+    m = SymMatrix(table, [[x, x], [x, x]])
+    assert principal_minor(m, 0b11) == Polynomial.zero(table)
+    assert list(all_principal_minors(m).entries) == [0b01, 0b10]
+    # a row that combines the others, at a random place, cancels the full
+    # minor, and the minors that contain it may cancel too
+    y = Polynomial.variable(table, "y")
+    pool = [x, -y, x + y, x * y - 2, 3 * Polynomial.one(table), Polynomial.zero(table)]
+    rng = random.Random(5959)
+    for trial in range(30):
+        n = rng.randint(2, 5)
+        grid = [[rng.choice(pool) for _ in range(n)] for _ in range(n - 1)]
+        factors = [rng.choice(pool[:5]) for _ in grid]
+        grid.insert(rng.randrange(n), [Polynomial.sum_of(table, [f * row[j] for f, row
+                                                                 in zip(factors, grid)])
+                                       for j in range(n)])
+        m = SymMatrix(table, grid)
+        minors = all_principal_minors(m)
+        full = (1 << n) - 1
+        assert full not in minors.entries and principal_minor(m, full).is_zero()
+        assert all(minors.entries.values())
+        for mask in range(1, full + 1):
+            det = leibniz_det(principal_subgrid(grid, mask))
+            assert minors.minor(mask) == det, f"trial {trial}, mask {mask:b}"
+            assert (mask in minors.entries) == bool(det)
 
 
 def test_point_values_match_symbolic_minors_on_sparse_grids():
@@ -638,16 +691,28 @@ def support_entries(grid):
     return [[(j, x) for j, x in enumerate(row) if x] for row in grid]
 
 
-def family_sums(rows, required=0):
-    """``_family_sums`` of rows of (column, int) pairs, its plan replayed
-    over ints: the {mask: value} it keys and the number of sums it records,
-    each in a slot of its own past the entries'."""
+def plan_of(rows, required=0):
+    """(plan, entries): the plan that ``_family_sums`` records for rows of
+    (column, value) pairs, whose values fill slots 2, 3, ... in order."""
     row_entries, entries = [], []
     for row in rows:
         row_entries.append([(j, 2 + len(entries) + k) for k, (j, _) in enumerate(row)])
         entries += [x for _, x in row]
-    plan = _family_sums(row_entries, required)
+    return _family_sums(row_entries, required), entries
+
+
+def family_sums(rows, required=0):
+    """``_family_sums`` of rows of (column, int) pairs, its plan replayed
+    over ints: the {mask: value} it keys and the number of new slots it
+    takes past the entries'."""
+    plan, entries = plan_of(rows, required)
     return replay_plan(plan, entries), plan[0] - 2 - len(entries)
+
+
+def runs_of(steps):
+    """The targets of the maximal runs of consecutive steps with one
+    target, in step order."""
+    return [target for target, _ in itertools.groupby(steps[0::3])]
 
 
 def test_cycle_cover_masks_match_the_permutation_oracle():
@@ -669,6 +734,23 @@ def test_cycle_cover_masks_match_the_permutation_oracle():
         assert family_sums(support_entries(grid), required)[0] == {
             mask: value for mask, value in sums.items() if mask & required == required}
     assert len(shapes) == 6
+
+
+def test_no_step_targets_an_entry_or_a_constant():
+    # a sum that a later round reaches again accumulates in the slot it
+    # has, and every target lies past the entries' slots, so the symbolic
+    # replay never writes the terms of an entry or of the constants
+    rng = random.Random(5353)
+    accumulated = 0
+    for trial in range(150):
+        n = rng.randint(1, 7)
+        grid, _ = support_grid(rng, n)
+        for required in (0, rng.randrange(1 << n)):
+            (size, steps, _), entries = plan_of(support_entries(grid), required)
+            assert min(steps[0::3], default=size) >= 2 + len(entries), f"trial {trial}: {grid}"
+            runs = runs_of(steps)
+            accumulated += len(runs) - len(set(runs))
+    assert accumulated
 
 
 def test_cycle_cover_masks_of_known_supports():
@@ -699,23 +781,25 @@ def test_determinant_of_a_sparse_matrix_is_linear_in_its_order(monkeypatch):
         sums, recorded = family_sums(support_entries(grid), required)
         assert recorded <= limit, "the union step is building every cover mask"
         assert sums == {required: expected}
-        return recorded
 
     def check_sub_mask(grid, mask, limit, expected):
         sub = principal_subgrid(grid, mask)
-        recorded = check(sub, (1 << len(sub)) - 1, limit, expected)
-        # principal_minor makes one Polynomial._sum_of_products call per
-        # recorded sum
-        table, kernel, calls = VariableTable(), Polynomial._sum_of_products, []
+        full = (1 << len(sub)) - 1
+        check(sub, full, limit, expected)
+        # principal_minor makes one _accumulate call per run of the plan's
+        # steps with one target
+        (_, steps, _), _ = plan_of(support_entries(sub), full)
+        table, calls = VariableTable(), []
 
-        def counted(table, pairs):
+        def counted(merged, pairs):
             calls.append(len(pairs))
-            return kernel(table, pairs)
+            return _accumulate(merged, pairs)
 
+        m = int_matrix(table, grid)
         with monkeypatch.context() as patch:
-            patch.setattr(Polynomial, "_sum_of_products", staticmethod(counted))
-            assert principal_minor(int_matrix(table, grid), mask) == expected
-        assert len(calls) == recorded
+            patch.setattr("seprkit.minors._accumulate", counted)
+            assert principal_minor(m, mask) == expected
+        assert len(calls) == len(runs_of(steps)) <= limit
 
     def continuant(grid):
         before, det = 1, grid[0][0]

@@ -16,6 +16,7 @@ from seprkit import (
     reduce_by,
 )
 from seprkit import polyring
+from seprkit.exprparse import MAX_DEGREE
 from _oracles import (
     eval_reference,
     exponents,
@@ -342,6 +343,26 @@ def test_int_coercion_and_pow():
         x = random_positive_point(rng, table)
         for e in range(10):
             assert (p ** e).eval_at(x) == p.eval_at(x) ** e
+
+
+def test_power_equals_repeated_multiplication():
+    # ** keeps every product in an unsorted dict and sorts once, p * p * ...
+    # sorts each product: the same terms in the same order, up to the
+    # parser's degree bound, for bases of one term, of constants and of
+    # terms that cancel in their powers
+    table = VariableTable(["x", "y", "z"])
+    rng = random.Random(3232)
+    for trial in range(24):
+        base = random_polynomial(rng, table, max_terms=rng.choice([1, 2, 4]), max_degree=2,
+                                 coeff_bound=3)
+        top = MAX_DEGREE // max(base.degree, 1)
+        checked = {0, 1, 2, rng.randint(3, top), top}
+        product = Polynomial.one(table)
+        for e in range(top + 1):
+            if e in checked:
+                assert list((base ** e).terms()) == list(product.terms()), \
+                    f"trial {trial}: ({base})^{e}"
+            product = product * base
 
 
 def test_evaluation_is_a_ring_homomorphism():
