@@ -24,8 +24,9 @@ data, reporting each claim honestly as PASS, FAIL, or INCONCLUSIVE.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from math import comb
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .minors import MinorTable, all_principal_minors
 from .orthant import (
@@ -89,16 +90,12 @@ _ZERO_ONLY = frozenset({"0"})
 _FULL = frozenset({"0", "+", "-"})
 
 
-class CaseDecomposition(NamedTuple):
+class CaseDecomposition(namedtuple("CaseDecomposition", "mask minor q r cases")):
     """One minor's exact division by the pivot, m = q*D + r, plus the sign
     concluded (or None for unknown) per case of _CASE_KEYS; ``mask`` is the
     minor's subset."""
 
-    mask: int
-    minor: Polynomial
-    q: Polynomial
-    r: Polynomial
-    cases: tuple[str | None, str | None, str | None]
+    __slots__ = ()
 
     def concluded(self, case: str) -> str | None:
         return self.cases[_CASE_KEYS.index(case)]
@@ -154,16 +151,13 @@ def _concluded_everywhere(decompositions: Sequence[CaseDecomposition]) -> frozen
         for case in _CASE_KEYS))
 
 
-class Certificate(NamedTuple):
+class Certificate(namedtuple("Certificate", "k pivot decompositions guaranteed")):
     """Proof object for one order k: pivot D plus a decomposition of every
     nonzero k-minor.  Every sign in ``guaranteed`` minus {0} is concluded by
     some decomposition in each of the three sign(D) cases; 0 is justified by
     an identically zero k-minor outside the decomposition list."""
 
-    k: int
-    pivot: Polynomial
-    decompositions: tuple[CaseDecomposition, ...]
-    guaranteed: frozenset
+    __slots__ = ()
 
     def verify_identities(self) -> bool:
         """Re-multiply every decomposition: m == q*D + r, exactly."""
@@ -178,10 +172,7 @@ class Certificate(NamedTuple):
         }
 
 
-class LevelCertification(NamedTuple):
-    guaranteed: frozenset
-    method: str
-    certificate: Certificate | None
+LevelCertification = namedtuple("LevelCertification", "guaranteed method certificate")
 
 
 def _sign_list(signs: frozenset) -> list[str]:
@@ -279,15 +270,12 @@ def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertifi
     return LevelCertification(guaranteed, METHOD_SAMPLING, None)
 
 
-class LevelSummary(NamedTuple):
+class LevelSummary(namedtuple("LevelSummary", "k guaranteed method class_counts certificate",
+                              defaults=(None,))):
     """One row of a SeprReport: what is proven at order k, how, and how the
     individual minors classified."""
 
-    k: int
-    guaranteed: frozenset
-    method: str
-    class_counts: Mapping[str, int]
-    certificate: Certificate | None = None
+    __slots__ = ()
 
     def to_row(self) -> dict:
         return {
@@ -326,21 +314,15 @@ class SeprReport(_Record):
         return len(self.levels)
 
 
-class ClaimResult(NamedTuple):
-    name: str
-    status: str
-    details: str
+class ClaimResult(namedtuple("ClaimResult", "name status details")):
+    __slots__ = ()
 
     def to_document(self) -> dict:
         return {"name": self.name, "status": self.status, "details": self.details}
 
 
-class VerificationReport(NamedTuple):
-    n: int
-    seed: int
-    budget: int
-    claims: tuple[ClaimResult, ...]
-    sepr: SeprReport
+class VerificationReport(namedtuple("VerificationReport", "n seed budget claims sepr")):
+    __slots__ = ()
 
     @property
     def overall(self) -> str:

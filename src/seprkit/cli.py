@@ -4,7 +4,8 @@ Four subcommands: ``verify-paper`` runs the full claim verification on the
 built-in matrix, ``det`` prints one principal minor exactly, ``sepr``
 evaluates the sign-set sequence at a positive point, and ``classify``
 reports the orthant sign class of each principal minor.  All output is
-deterministic for fixed inputs and seed.
+deterministic for fixed inputs and seed.  A flag's help shows its default
+by writing ``(default: %(default)s)`` itself.
 
 Exit codes: 0 success / all claims pass, 1 a claim fails, 2 verification
 inconclusive, 3 invalid flags or bad input, 141 (a shell's status for death by
@@ -47,17 +48,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-class _DefaultsFormatter(argparse.ArgumentDefaultsHelpFormatter):
-    """Help that appends each flag's default, except a default of None,
-    which only means the flag was not given, and that of a flag that takes
-    no argument."""
-
-    def _get_help_string(self, action):
-        if action.default is None or action.nargs == 0:
-            return action.help
-        return super()._get_help_string(action)
-
-
 def _ascii_int(text: str) -> int | None:
     """The integer ``text`` spells in ASCII digits, else None: ``int()``
     alone also takes underscores ("1_0") and the digits of other scripts."""
@@ -94,32 +84,28 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    fmt = _DefaultsFormatter
-
     p_verify = sub.add_parser(
-        "verify-paper", formatter_class=fmt,
-        help="verify the built-in matrix's sign-set claims end to end")
+        "verify-paper", help="verify the built-in matrix's sign-set claims end to end")
     p_verify.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
-                          help="sampling seed")
+                          help="sampling seed (default: %(default)s)")
     p_verify.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                          help="samples per polynomial in witness searches")
+                          help="samples per polynomial in witness searches "
+                               "(default: %(default)s)")
     p_verify.add_argument("--format", choices=("text", "json"), default="text",
-                          help="report format")
+                          help="report format (default: %(default)s)")
     p_verify.add_argument("--output", metavar="FILE", default=None,
                           help="write the report to FILE instead of stdout")
     p_verify.set_defaults(handler=_cmd_verify_paper)
 
     p_det = sub.add_parser(
-        "det", formatter_class=fmt,
-        help="print the exact polynomial of one principal minor")
+        "det", help="print the exact polynomial of one principal minor")
     _add_matrix_flag(p_det)
     p_det.add_argument("--subset", type=_subset_list, required=True,
                        metavar="I,J,...", help="1-based row/column indices")
     p_det.set_defaults(handler=_cmd_det)
 
     p_sepr = sub.add_parser(
-        "sepr", formatter_class=fmt,
-        help="evaluate the per-order sign sets at a positive point")
+        "sepr", help="evaluate the per-order sign sets at a positive point")
     _add_matrix_flag(p_sepr)
     which = p_sepr.add_mutually_exclusive_group(required=True)
     which.add_argument("--assign", metavar="FILE", default=None,
@@ -130,16 +116,16 @@ def _build_parser() -> _Parser:
     p_sepr.set_defaults(handler=_cmd_sepr)
 
     p_classify = sub.add_parser(
-        "classify", formatter_class=fmt,
-        help="classify each principal minor's sign over the orthant")
+        "classify", help="classify each principal minor's sign over the orthant")
     _add_matrix_flag(p_classify)
     p_classify.add_argument("--k", type=_positive_int, default=None,
                             help="restrict to minors of this order "
                                  "(default: all orders)")
     p_classify.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
-                            help="sampling seed")
+                            help="sampling seed (default: %(default)s)")
     p_classify.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                            help="samples per polynomial in witness searches")
+                            help="samples per polynomial in witness searches "
+                                 "(default: %(default)s)")
     p_classify.set_defaults(handler=_cmd_classify)
 
     return parser

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .polyring import Polynomial, VariableTable
 
@@ -51,10 +51,8 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class _Token(NamedTuple):
-    kind: str  # "int" | "ident" | one of + - * ^ ( ) | "end"
-    text: str
-    offset: int
+# kind is "int", "ident", one of + - * ^ ( ), or "end".
+_Token = namedtuple("_Token", "kind text offset")
 
 
 _TOKEN_RE = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()])")

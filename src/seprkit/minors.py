@@ -20,11 +20,11 @@ monomial layout of ``polyring``; point values come from its one evaluator.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, groupby
 from math import comb, lcm
 from operator import itemgetter
-from typing import Iterator, Sequence
 
 from .polyring import Polynomial, RationalPoint, _accumulate, _point_lists
 from .symmatrix import SymMatrix

@@ -26,12 +26,12 @@ and witnesses are exactly those of a fresh ``Lcg64(seed)`` per call.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import count
 from math import comb
 from operator import attrgetter
-from typing import Iterator, Sequence
 
 from .minors import minor_values_at
 from .polyring import CoeffSignSummary, Polynomial, RationalPoint, VariableTable, _Record

@@ -29,7 +29,7 @@ the same polynomial as the general code:
 * a product with a one-term factor multiplies every term of the other by
   that term, and the order is multiplicative (m1 > m2 implies
   t*m1 > t*m2), so the products come out distinct and already in order
-  and a lone one is not sorted; a constant term scales the coefficients
+  and ``*`` does not sort them; a constant term scales the coefficients
   alone;
 * a polynomial whose monomial content is 1 is its own primitive part up to
   sign, and the gcd scan stops once the content reaches 1;
@@ -42,11 +42,11 @@ from __future__ import annotations
 
 import heapq
 import re
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from math import prod
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "VariableTable",
@@ -461,30 +461,9 @@ class Polynomial:
         _check_tables(self.table, other.table)
         return other
 
-    @staticmethod
-    def _sum_of_products(table: VariableTable, pairs: Sequence[tuple]) -> "Polynomial":
-        """The sum of a*b over the (a, b) pairs of polynomials over
-        ``table``, by ``_accumulate``, sorted once, or not at all for a lone
-        product by one term."""
-        for a, b in pairs:
-            if a.table is not table:
-                _check_tables(table, a.table)
-            if b.table is not table:
-                _check_tables(table, b.table)
-        merged = _accumulate({}, [(a._terms, b._terms) for a, b in pairs])
-        if len(pairs) == 1 and min(len(a._terms), len(b._terms)) == 1:
-            return Polynomial._of_ordered(table, merged)
-        return Polynomial(table, merged)
-
-    @staticmethod
-    def sum_of(table: VariableTable, polys: Sequence["Polynomial"]) -> "Polynomial":
-        """The sum of ``polys``, merged and sorted once rather than once per
-        addition."""
-        one = Polynomial._of_ordered(table, {(0,): 1})
-        return Polynomial._sum_of_products(table, [(p, one) for p in polys])
-
     def __add__(self, other: "Polynomial | int") -> "Polynomial":
-        return Polynomial.sum_of(self.table, (self, self._coerce(other)))
+        terms = _accumulate(dict(self._terms), ((self._coerce(other)._terms, {(0,): 1}),))
+        return Polynomial(self.table, terms)
 
     __radd__ = __add__
 
@@ -498,7 +477,11 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
-        return Polynomial._sum_of_products(self.table, ((self, self._coerce(other)),))
+        a, b = self._terms, self._coerce(other)._terms
+        terms = _accumulate({}, ((a, b),))
+        if min(len(a), len(b)) == 1:  # one-term factor: already in order
+            return Polynomial._of_ordered(self.table, terms)
+        return Polynomial(self.table, terms)
 
     __rmul__ = __mul__
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
 from .exprparse import ParseError, parse_entry
 from .polyring import Polynomial, VariableTable, _same_table
@@ -34,11 +35,11 @@ class MatrixFormatError(ValueError):
     """Malformed matrix document."""
 
 
-class IndexSet(NamedTuple):
-    """The 1-based text form of a subset, strictly increasing; the core
-    works on its ``mask()``, in which bit i-1 selects index i."""
+class IndexSet(namedtuple("IndexSet", "indices")):
+    """The 1-based text form of a subset, ``indices``, strictly increasing;
+    the core works on its ``mask()``, in which bit i-1 selects index i."""
 
-    indices: tuple[int, ...]
+    __slots__ = ()
 
     @staticmethod
     def of(indices: Iterable[int], n: int) -> "IndexSet":

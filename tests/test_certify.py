@@ -4,6 +4,7 @@ import copy
 import heapq
 import json
 import math
+import pickle
 import random
 import re
 import types
@@ -15,8 +16,12 @@ import pytest
 
 from seprkit import (
     CaseDecomposition,
+    Certificate,
+    ClaimResult,
     CoeffSignSummary,
     IndexSet,
+    LevelCertification,
+    LevelSummary,
     Polynomial,
     RationalPoint,
     SignClass,
@@ -650,6 +655,38 @@ def test_points_verdicts_and_subsets_compare_as_values_and_refuse_assignment():
             setattr(value, name, None)
     assert point.render() is text and mixed.kind is SignKind.MIXED
     assert (copy.copy(point), copy.copy(mixed)) == (point, mixed)
+
+
+def _tuple_records():
+    # one instance of each public tuple record, with fields that compare as
+    # values, so that a deep copy or an unpickled copy is equal
+    table = VariableTable(["x", "y"])
+    pivot = parse_entry("x - y", table)
+    dec = decompose(pivot, pivot, 0b11)
+    signs = frozenset({"+", "-"})
+    certificate = Certificate(2, pivot, (dec,), signs)
+    claim = ClaimResult("full-levels", PASS, "orders 2")
+    return [IndexSet((1, 3)), dec, certificate,
+            LevelCertification(signs, METHOD_PIVOT, certificate),
+            LevelSummary(2, signs, METHOD_PIVOT, {"mixed": 1}, certificate),
+            claim, VerificationReport(2, 0, 1000, (claim,), None)]
+
+
+@pytest.mark.parametrize("record", _tuple_records(), ids=lambda record: type(record).__name__)
+def test_tuple_records_refuse_new_attributes_and_survive_copy_and_pickle(record):
+    cls = type(record)
+    with pytest.raises(AttributeError):
+        record.extra = None  # a subclass without __slots__ = () would take it
+    for copied in (copy.copy(record), copy.deepcopy(record),
+                   pickle.loads(pickle.dumps(record))):
+        assert type(copied) is cls and copied == record
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, record))
+    assert repr(record) == f"{cls.__name__}({fields})"
+
+
+def test_level_summary_certificate_defaults_to_none():
+    counts = {"zero": 1}
+    assert LevelSummary(1, frozenset({"0"}), METHOD_ALL_ZERO, counts).certificate is None
 
 
 def test_report_document_layout():

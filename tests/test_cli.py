@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through real subprocess invocations."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+from seprkit import cli
 from seprkit.symmatrix import PAPER_MATRIX_DOCUMENT
 
 EXPECTED_SEQUENCE = "{0} {0} {0,+,-} {0} {0} {0,+,-} {0} {0} {0,+,-} {0} {0} {0}"
@@ -323,32 +325,40 @@ def test_missing_matrix_file_exits_three(tmp_path):
 @pytest.mark.parametrize("module", ["seprkit", "seprkit.cli"])
 def test_import_loads_neither_dataclasses_nor_inspect(module):
     # every CLI call pays for the import: dataclasses pulls in inspect,
-    # ast, dis and tokenize, and pathlib pulls in urllib.parse and
-    # ipaddress.  -S keeps site hooks from loading modules.
+    # ast, dis and tokenize, pathlib pulls in urllib.parse and ipaddress,
+    # and typing is a large module of its own.  -S keeps site hooks from
+    # loading modules.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = (f"import sys, {module}; "
-            "print([name in sys.modules for name in ('dataclasses', 'inspect', 'pathlib')])")
+    code = (f"import sys, {module}; print([name in sys.modules for name in "
+            "('dataclasses', 'inspect', 'pathlib', 'typing')])")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           encoding="utf-8", env={**os.environ, "PYTHONPATH": src})
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[False, False, False]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, "[False, False, False, False]\n", "")
 
 
 def test_help_lists_defaults():
-    # every subcommand's help shows its flags' defaults; a default of None
-    # only means the flag was not given, and a flag that takes no argument
-    # has no value to show, so no help line says either (0 == False, yet
-    # --seed's 0 is shown)
-    matrix = "(default: the built-in 12x12 matrix)"
-    for command, defaults in (
-            ("verify-paper", ["(default: 1000)", "(default: 0)", "(default: text)"]),
-            ("det", [matrix]),
-            ("sepr", [matrix]),
-            ("classify", [matrix, "(default: all orders)", "(default: 1000)",
-                          "(default: 0)"])):
+    # every flag with a default shows it in its own help line, which says
+    # so through %(default)s, as the help formatter adds nothing; a default
+    # of None only means the flag was not given, and a flag that takes no
+    # argument has no value to show, so no help line says either (0 ==
+    # False, yet --seed's 0 is shown)
+    [commands] = [action.choices for action in cli._build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert list(commands) == ["verify-paper", "det", "sepr", "classify"]
+    shown = 0
+    for command, parser in commands.items():
         code, out, _ = run_cli(command, "--help")
         assert code == 0
         flat = " ".join(out.split())  # undo argparse line wrapping
-        for default in defaults:
-            assert default in flat, command
+        for action in parser._actions:
+            if action.option_strings and action.default is not None and action.nargs != 0:
+                # the flag's line runs from its last mention to the next flag
+                line = flat[flat.rindex(action.option_strings[-1] + " "):].split(" --")[0]
+                assert f"(default: {action.default})" in line, (command, action.dest)
+                shown += 1
+        if command != "verify-paper":
+            assert "(default: the built-in 12x12 matrix)" in flat, command
         assert "(default: None)" not in flat, command
         assert "(default: False)" not in flat, command
+    assert shown and "(default: all orders)" in flat

@@ -274,8 +274,8 @@ def test_a_sum_that_cancels_as_it_accumulates_is_zero():
         n = rng.randint(2, 5)
         grid = [[rng.choice(pool) for _ in range(n)] for _ in range(n - 1)]
         factors = [rng.choice(pool[:5]) for _ in grid]
-        grid.insert(rng.randrange(n), [Polynomial.sum_of(table, [f * row[j] for f, row
-                                                                 in zip(factors, grid)])
+        grid.insert(rng.randrange(n), [sum((f * row[j] for f, row in zip(factors, grid)),
+                                           Polynomial.zero(table))
                                        for j in range(n)])
         m = SymMatrix(table, grid)
         minors = all_principal_minors(m)

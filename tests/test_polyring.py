@@ -269,13 +269,15 @@ def test_one_term_products_keep_the_order():
 
 
 def test_sum_of_products_matches_the_reference_products():
-    # the one product and sum kernel against products term by term: pairs
-    # of several terms, of one term, of the constants 1, -1 and 3, and of
-    # zero, alone and together, come out merged and in strict order
+    # the one product and sum kernel, and a sum of products by * and +,
+    # against products term by term: pairs of several terms, of one term,
+    # of the constants 1, -1 and 3, and of zero, alone and together, come
+    # out merged and, through * and +, in strict order
     table = fresh_table()
     rng = random.Random(5151)
     one = Polynomial.one(table)
-    constants = [one, -one, 3 * one, Polynomial.zero(table)]
+    zero = Polynomial.zero(table)
+    constants = [one, -one, 3 * one, zero]
 
     def factor():
         if rng.random() < 0.3:
@@ -288,19 +290,21 @@ def test_sum_of_products_matches_the_reference_products():
         for a, b in pairs:
             for mono, coeff in product_reference(a, b).terms():
                 merged[mono] = merged.get(mono, 0) + coeff
-        got = Polynomial._sum_of_products(table, pairs)
-        assert got == Polynomial(table, merged), f"trial {trial}: {pairs}"
+        expected = Polynomial(table, merged)
+        kernel = polyring._accumulate({}, [(a._terms, b._terms) for a, b in pairs])
+        assert Polynomial(table, kernel) == expected, f"trial {trial}: {pairs}"
+        got = sum((a * b for a, b in pairs), zero)
+        assert got == expected, f"trial {trial}: {pairs}"
         terms = list(got.terms())
         assert all(coeff for _, coeff in terms)
         assert all(grlex_less(low, high) for (high, _), (low, _) in zip(terms, terms[1:]))
     # a lone product by 1 equals the other factor, as does a sum of one
     p = var(table, "a1") + var(table, "b2") * var(table, "b3") - 7
-    for pair in ((p, one), (one, p)):
-        assert Polynomial._sum_of_products(table, [pair]) == p
-    assert Polynomial.sum_of(table, [p]) == p
-    assert Polynomial.sum_of(table, []) == Polynomial.zero(table)
+    assert p * one == p and one * p == p
+    assert p + zero == p
+    assert sum([], zero) == zero
     with pytest.raises(ValueError, match="variable table mismatch"):
-        Polynomial._sum_of_products(table, [(p, Polynomial.variable(VariableTable(), "z"))])
+        p * Polynomial.variable(VariableTable(), "z")
 
 
 # ------------------------------------------------------------- ring axioms
