@@ -5,7 +5,8 @@ the support digraph (an edge i -> j for each nonzero entry; a nonzero
 diagonal entry is a cycle of length 1) whose vertices are exactly S.  Each
 family contributes the product of its cycles' weights, and a cycle's weight
 is the sign (-1)^(length-1) times the sum of its edge products over the
-ways round it.  A minor whose S no family covers is identically zero.
+ways round it; the paths carry that sign, as they extend along negated
+entries.  A minor whose S no family covers is identically zero.
 ``_family_sums`` is the one determinant engine.  It computes no value: from
 the support alone it records these sums for every cover mask at once as a
 plan, a straight-line program of steps slots[t] += slots[a] * slots[b].
@@ -62,21 +63,24 @@ def _family_sums(row_entries, required=0) -> tuple[int, list[int], dict[int, int
     a sum that cancels to zero keeps its key.
 
     For v = 0 up to n-1, a path-sum DP walks the paths that start at v and
-    then visit only vertices above v.  A state is (last vertex, visited
-    mask) and carries the sum of its paths' edge products; the states are
-    layered by path length, so each sum is complete before it extends.  An
-    edge back to v closes the cycles on the visited mask C and adds
-    path * a[u][v] to their weight W(C), which takes the permutation sign
-    (-1)^(|C|-1).  The step then adds sums[r] * W(C) into sums[r | C] for
-    every union r found so far that misses C.  The cycles of a family have
-    distinct smallest vertices, so the family is reached once: at the step
-    of its cycle C with the largest one, from the union r of the others.
-    Different (r, C) pairs reach one union, so the step accumulates.  No
-    later cycle covers v, so once v is done a union that misses a vertex
-    of ``required`` up to v is dropped: for the one mask of a determinant
-    this keeps the unions of a diagonal matrix to one per step, not 2^n.
-    Without ``required`` every cover mask is a key, so more than
-    ``MAX_ENUM_DIM`` rows are refused.
+    then visit only vertices above v.  A path extends along the negation
+    -a[u][w] of an entry, one step (neg, slot, ``_MINUS_ONE``) into a fresh
+    slot, recorded the first time any path extends along that entry.  A
+    state is (last vertex, visited mask) and carries (-1)^L times the sum
+    of its paths' edge products, L the path length; the states are layered
+    by path length, so each sum is complete before it extends.  An edge
+    back to v closes the cycles on the visited mask C and adds
+    path * a[u][v] to their weight W(C): its |C| - 1 extending edges give
+    W(C) the permutation sign (-1)^(|C|-1).  The step then adds
+    sums[r] * W(C) into sums[r | C] for every union r found so far that
+    misses C.  The cycles of a family have distinct smallest vertices, so
+    the family is reached once: at the step of its cycle C with the largest
+    one, from the union r of the others.  Different (r, C) pairs reach one
+    union, so the step accumulates.  No later cycle covers v, so once v is
+    done a union that misses a vertex of ``required`` up to v is dropped:
+    for the one mask of a determinant this keeps the unions of a diagonal
+    matrix to one per step, not 2^n.  Without ``required`` every cover
+    mask is a key, so more than ``MAX_ENUM_DIM`` rows are refused.
     """
     if not required and len(row_entries) > MAX_ENUM_DIM:
         raise ValueError(f"refusing to enumerate 2^{len(row_entries)} principal minors "
@@ -94,7 +98,7 @@ def _family_sums(row_entries, required=0) -> tuple[int, list[int], dict[int, int
             steps.extend((target, a, b))
         return target
 
-    sums = {0: _ONE}
+    sums, negated = {0: _ONE}, {}
     for v in range(len(row_entries)):
         start, above = 1 << v, -1 << (v + 1)
         closed, layer = {}, {(v, start): _ONE}
@@ -106,13 +110,13 @@ def _family_sums(row_entries, required=0) -> tuple[int, list[int], dict[int, int
                     if bit == start:
                         closed.setdefault(visited, []).append((path, slot))
                     elif bit & above and not bit & visited:
-                        extended.setdefault((w, visited | bit), []).append((path, slot))
+                        if slot not in negated:
+                            negated[slot] = total([(slot, _MINUS_ONE)])
+                        extended.setdefault((w, visited | bit), []).append((path, negated[slot]))
             layer = {state: total(paths) for state, paths in extended.items()}
         joined = {}
         for cycle, paths in closed.items():
             weight = total(paths)
-            if not cycle.bit_count() & 1:
-                weight = total([(weight, _MINUS_ONE)])
             for r, base in sums.items():
                 if not r & cycle:
                     joined.setdefault(r | cycle, []).append((base, weight))
@@ -175,7 +179,8 @@ class MinorTable:
 
     ``entries`` holds only the nonzero minors, in increasing mask order;
     ``minor`` answers every mask in 1..2^n-1, an absent one with the shared
-    ``zero``.  The nonzero minors are bucketed by order once, here.
+    ``zero``.  The nonzero minors are bucketed by order once, here.  Two
+    tables are equal when their n and their stored minors are.
     """
 
     def __init__(self, n: int, entries: dict[int, Polynomial], zero: Polynomial):
@@ -186,6 +191,11 @@ class MinorTable:
         self._by_order: list[list[tuple[int, Polynomial]]] = [[] for _ in range(n + 1)]
         for mask, m in entries.items():
             self._by_order[mask.bit_count()].append((mask, m))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MinorTable):
+            return self.n == other.n and self.entries == other.entries
+        return NotImplemented
 
     def minor(self, mask: int) -> Polynomial:
         if not 0 < mask < self._limit:

@@ -23,19 +23,17 @@ product and sum kernel), ``Polynomial.variable``, ``constant``,
 ``degree``, ``_evaluator`` and ``_has_cancellable_term`` read the layout,
 and a few methods compare a monomial with 1, ``(0,)``.
 
-Three shortcuts skip work whose result is known beforehand, and each gives
-the same polynomial as the general code:
+Two shortcuts skip work whose result is known beforehand, and each gives
+the same result as the general code:
 
-* a product with a one-term factor multiplies every term of the other by
-  that term, and the order is multiplicative (m1 > m2 implies
-  t*m1 > t*m2), so the products come out distinct and already in order
-  and ``*`` does not sort them; a constant term scales the coefficients
-  alone;
 * a polynomial whose monomial content is 1 is its own primitive part up to
   sign, and the gcd scan stops once the content reaches 1;
-* ``reduce_by`` returns (0, m) when lead(D) divides no term of m (see
-  there); the pivot search asks ``_has_cancellable_term`` first and then
-  leaves such a minor out of its trial.
+* the pivot search asks ``_has_cancellable_term`` before it divides a
+  minor m: when lead(D) cancels no term of m, ``reduce_by`` would return
+  (0, m), which concludes nothing, so the trial leaves m out.
+
+Every product is sorted once, in ``Polynomial.__init__``, and ``reduce_by``
+has one path, its loop.
 """
 
 from __future__ import annotations
@@ -117,6 +115,11 @@ class VariableTable:
     def __repr__(self) -> str:
         return f"VariableTable({list(self._names)!r})"
 
+    def __getstate__(self) -> dict:
+        # copy and pickle leave the sample stream behind: it holds weak
+        # references, and ``orthant._stream_of`` rebuilds it on first use
+        return {**self.__dict__, "_sample_stream": None}
+
 
 def _same_table(a: VariableTable, b: VariableTable) -> bool:
     return a is b or a.names == b.names
@@ -172,8 +175,6 @@ def _accumulate(merged: dict, pairs: Iterable[tuple[dict, dict]]) -> dict:
 
 def _mono_divides(a: tuple, b: tuple) -> bool:
     """True if a divides b: every exponent of a is covered by b."""
-    if a[0] < b[0]:
-        return False
     j, len_b = 1, len(b)
     for i in range(1, len(a), 2):
         index = a[i]
@@ -288,7 +289,8 @@ class RationalPoint(_Record):
     """Exact rational value for every variable of a table, in table order.
 
     The sample stream refers to a witness point weakly, and ``render()``
-    keeps its text after the first call."""
+    keeps its text after the first call.  Points compare their tables as
+    polynomials do, by names, and hash by their values alone."""
 
     _fields = ("table", "values")
     __slots__ = (*_fields, "_text", "__weakref__")
@@ -331,6 +333,14 @@ class RationalPoint(_Record):
             if name not in exact:
                 raise ValueError(f"variable {name!r} unassigned")
         return RationalPoint(table, tuple(exact[name] for name in table))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.values == other.values and _same_table(self.table, other.table)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.values)
 
     def is_strictly_positive(self) -> bool:
         return all(v > 0 for v in self.values)
@@ -478,10 +488,7 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         a, b = self._terms, self._coerce(other)._terms
-        terms = _accumulate({}, ((a, b),))
-        if min(len(a), len(b)) == 1:  # one-term factor: already in order
-            return Polynomial._of_ordered(self.table, terms)
-        return Polynomial(self.table, terms)
+        return Polynomial(self.table, _accumulate({}, ((a, b),)))
 
     __rmul__ = __mul__
 
@@ -633,21 +640,14 @@ def reduce_by(m: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynomia
     monomial.  A monomial is pushed when it enters the dict, and an entry
     whose monomial has since cancelled away is skipped when popped.  Every
     new monomial is below the one just popped, so a monomial never returns
-    to the dict once it has been taken from it.
-
-    Until a term is cancelled nothing enters the dict, so the loop cancels
-    some term exactly when some term of m itself is cancellable.  When
-    none is, it moves every term of m to the remainder unchanged, and the
-    result is (0, m) without the heap: ``_has_cancellable_term`` decides
-    that from m's terms above lead(D)'s degree, which come first, and one
-    lookup of lead(D) itself.
+    to the dict once it has been taken from it.  When no term of m is
+    cancellable, nothing enters the dict and the loop moves every term of m
+    to the remainder: the result is (0, m).
     """
     _check_tables(m.table, divisor.table)
     if divisor.is_zero():
         raise ValueError("zero divisor")
     lead_mono, lead_coeff = divisor.leading_term()
-    if not _has_cancellable_term(m, lead_mono, lead_coeff):
-        return Polynomial.zero(m.table), m
     tail = list(divisor.terms())[1:]
     quotient: dict[tuple, int] = {}
     remainder: dict[tuple, int] = {}

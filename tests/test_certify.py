@@ -330,8 +330,8 @@ def test_a_won_level_divides_each_minor_by_the_pivot_once(
 def test_reduce_by_matches_the_reference_on_every_dense_minor_and_candidate():
     # With a distinct variable in every entry, a candidate's leading
     # monomial occurs in no minor on another subset, so most trial divisions
-    # cannot divide and take reduce_by's (0, m) shortcut; the minor's own
-    # candidate divides it exactly and takes the heap loop.
+    # cancel nothing and come out of reduce_by's loop as (0, m); the minor's
+    # own candidate divides it exactly.
     matrix = matrix_from_document(random_signed_document(random.Random(912), 5, 1.0))
     minors = all_principal_minors(matrix)
     taken = set()
@@ -682,6 +682,31 @@ def test_tuple_records_refuse_new_attributes_and_survive_copy_and_pickle(record)
         assert type(copied) is cls and copied == record
     fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, record))
     assert repr(record) == f"{cls.__name__}({fields})"
+
+
+def test_reports_compare_copy_and_pickle_as_values(builtin_matrix):
+    # a report's minor table compares by its minors and its witness points
+    # by their tables' names, so equal work gives equal reports; a copied
+    # table leaves its sample stream behind, which holds weak references
+    report = analyze(builtin_matrix)
+    assert report == analyze(builtin_matrix)
+    assert verify_paper_claims() == verify_paper_claims()
+    mask = next(mask for mask, verdict in report.classes.items()
+                if verdict.kind is SignKind.MIXED)
+    for copied in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert copied == report
+        table = copied.minors.minor(mask).table
+        assert table is not builtin_matrix.table and table._sample_stream is None
+        verdict = classify_polynomial(copied.minors.minor(mask))
+        assert verdict == report.classes[mask] and verdict.pos_witness.table is table
+    x, y = (analyze(matrix_from_document({"n": 1, "entries": [[name]]})) for name in "xy")
+    assert x.minors != y.minors and x != y
+
+    values = (Fraction(1), Fraction(2, 3))
+    point = RationalPoint(VariableTable(["x", "y"]), values)
+    same = RationalPoint(VariableTable(["x", "y"]), values)
+    assert point == same and hash(point) == hash(same)
+    assert point != RationalPoint(VariableTable(["x", "z"]), values)
 
 
 def test_level_summary_certificate_defaults_to_none():

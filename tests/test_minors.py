@@ -1,5 +1,6 @@
 """Determinant engine against brute-force oracles, plus the minor table."""
 
+import collections
 import itertools
 import math
 import random
@@ -23,7 +24,7 @@ from seprkit import (
     principal_minor,
     sepr_at_point,
 )
-from seprkit.minors import MAX_ENUM_DIM, _accumulate, _family_sums
+from seprkit.minors import MAX_ENUM_DIM, _MINUS_ONE, _accumulate, _family_sums
 from _oracles import (
     constant_matrix,
     cycle_cover_masks_reference,
@@ -751,6 +752,30 @@ def test_no_step_targets_an_entry_or_a_constant():
             runs = runs_of(steps)
             accumulated += len(runs) - len(set(runs))
     assert accumulated
+
+
+def test_each_sign_is_an_entry_negated_once_into_a_fresh_slot(builtin_matrix):
+    # a path extends along an entry's negation, recorded the first time a
+    # path takes that entry, and a cycle closes along its plain entry; so
+    # the one step by -1 of a slot reads an entry and writes a slot that no
+    # other step writes, and no cycle's weight is copied to take its sign
+    rng = random.Random(5454)
+    cases = []
+    for _ in range(100):
+        n = rng.randint(1, 7)
+        rows = support_entries(support_grid(rng, n)[0])
+        cases += [(rows, 0), (rows, rng.randrange(1 << n))]
+    cases.append((support_entries([[1] * 6] * 6), 0))
+    cases.append(([[(j, x) for j, x in enumerate(row) if x] for row in builtin_matrix.rows], 0))
+    negations = 0
+    for rows, required in cases:
+        (_, steps, _), entries = plan_of(rows, required)
+        writes = collections.Counter(steps[0::3])
+        negated = [a for target, a, b in zip(steps[0::3], steps[1::3], steps[2::3])
+                   if b == _MINUS_ONE and 2 <= a < 2 + len(entries) and writes[target] == 1]
+        assert len(negated) == steps[2::3].count(_MINUS_ONE) == len(set(negated)), rows
+        negations += len(negated)
+    assert negations
 
 
 def test_cycle_cover_masks_of_known_supports():
