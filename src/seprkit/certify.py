@@ -32,6 +32,7 @@ from .minors import MinorTable, all_principal_minors
 from .orthant import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
+    _SIGN_ORDER,
     SignClass,
     SignKind,
     classify_polynomial,
@@ -87,7 +88,7 @@ _NEGATED = {"0": "0", "+": "-", "-": "+", None: None}
 
 # The expected sign sets that a level row proves exactly.
 _ZERO_ONLY = frozenset({"0"})
-_FULL = frozenset({"0", "+", "-"})
+_FULL = frozenset(_SIGN_ORDER)
 
 
 class CaseDecomposition(namedtuple("CaseDecomposition", "mask minor q r cases")):
@@ -176,7 +177,7 @@ LevelCertification = namedtuple("LevelCertification", "guaranteed method certifi
 
 
 def _sign_list(signs: frozenset) -> list[str]:
-    return [s for s in ("0", "+", "-") if s in signs]
+    return [s for s in _SIGN_ORDER if s in signs]
 
 
 def discover_pivots(minors: Sequence[Polynomial]) -> list[Polynomial]:
@@ -238,6 +239,8 @@ def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertifi
     where lead(D) divides no term gives (0, m), which concludes nothing, so
     the trial leaves it out and builds it only if D wins.
     """
+    if minors.n != matrix.n:
+        raise ValueError(f"minors of an n={minors.n} matrix cannot certify one of n={matrix.n}")
     if not 1 <= k <= matrix.n:
         raise ValueError(f"order {k} out of range 1..{matrix.n}")
 
@@ -247,7 +250,7 @@ def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertifi
     if len(nonzero) < comb(matrix.n, k):
         guaranteed |= _ZERO_ONLY
     mixed = {mask: m for mask, m, sign in level if sign is None}
-    if not mixed and guaranteed == _ZERO_ONLY:
+    if not nonzero:
         return LevelCertification(guaranteed, METHOD_ALL_ZERO, None)
     missing = {"+", "-"} - guaranteed if mixed else set()
     if not missing:
@@ -397,7 +400,7 @@ def _expected_orders(expected: Mapping, n: int) -> tuple[list[int], list[int], l
         raise ValueError('expected data must be a mapping with "sepr" and "mixed_orders"')
     sepr, mixed = expected.get("sepr"), expected.get("mixed_orders")
     if not (isinstance(sepr, list) and all(
-            isinstance(signs, list) and all(s in ("0", "+", "-") for s in signs)
+            isinstance(signs, list) and all(s in _SIGN_ORDER for s in signs)
             for signs in sepr)):
         raise ValueError('expected "sepr" must be a list of lists of "0", "+" and "-"')
     if not (isinstance(mixed, list) and all(type(k) is int for k in mixed)):

@@ -246,10 +246,10 @@ def _point_plan(matrix: SymMatrix) -> tuple:
     Each nonzero entry gets a slot, and ``_family_sums`` records the plan
     once.  Each point evaluates the entries to unreduced (N, Q) pairs,
     scales each row by the lcm of its Q and replays the plan over the
-    integers, as the symbolic paths replay it over polynomials.
-    Threads that reach a fresh matrix at once may each record a plan; the
-    plans are equal and the last one stored stays, so the race is benign.
-    A matrix past ``MAX_ENUM_DIM`` raises ValueError and stores nothing."""
+    integers, as the symbolic paths replay it over polynomials.  The plan
+    is plain data, so the matrix copies and pickles with it.  Threads that
+    reach a fresh matrix at once may each store an equal plan.  A matrix
+    past ``MAX_ENUM_DIM`` raises ValueError and stores nothing."""
     plan = matrix._point_plan
     if plan is None:
         row_entries, entries = _support(matrix.rows, (1 << matrix.n) - 1)

@@ -14,18 +14,18 @@ the table (``_stream_of``), the first time any polynomial reaches them, and
 every polynomial of the table reads them from there.  A table keeps one
 stream, that of the last seed and length it was sampled at, so calls that
 alternate seeds over one table draw afresh each time.  A sample that becomes
-a witness is one point, rendered once, for every verdict it witnesses.  The
-stream holds only ints and weak references to those points, so it is freed
+a witness is one point, kept by the stream and rendered once, for every
+verdict it witnesses.  The stream is plain data, ints and those points, so
+copies and pickles of the table carry it, and the cycle collector frees it
 with its table.  It stores at most ``_STORED_SAMPLES`` samples whatever the
 budget: a polynomial that needs more continues the generator from the last
-stored state without storing.  Threads may share a stream (see ``_SampleStream``).
+stored state without storing.  Threads may share a stream (``_SampleStream``).
 Each polynomial keeps its own early-exit loop over the stream, so verdicts
 and witnesses are exactly those of a fresh ``Lcg64(seed)`` per call.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
@@ -105,8 +105,8 @@ _STORED_SAMPLES = 256
 class _SampleStream:
     """The samples ``Lcg64(seed)`` draws for a table of ``n`` variables,
     each drawn once and read by every polynomial classified over the table
-    with that seed.  It holds only ints and weak references, no strong
-    reference to the table.
+    with that seed.  Its witness points refer to the table, so the cycle
+    collector frees the table and the stream together.
 
     Sample j is (us, vs, state): the u and v lists of the point
     ``Lcg64.point`` would draw j-th, and the generator state after it.
@@ -120,8 +120,8 @@ class _SampleStream:
     def __init__(self, key: tuple[int, int]) -> None:
         self.key = key  # (seed masked to 64 bits, n)
         self._samples: dict[int, tuple[list[int], list[int], int]] = {}
-        # j -> sample j's witness point, while some verdict holds it
-        self._points: dict[int, weakref.ref] = {}
+        # j -> sample j's witness point, once some verdict has taken it
+        self._points: dict[int, RationalPoint] = {}
 
     def samples(self) -> Iterator[tuple[list[int], list[int], int]]:
         """Samples 0, 1, 2, ... without end, drawn as they are reached."""
@@ -140,14 +140,13 @@ class _SampleStream:
               vs: list[int]) -> RationalPoint:
         """Sample j, read off ``samples()`` as us, vs, as a point of
         ``table``: one point, rendered at most once, for every witness that
-        is sample j while some verdict holds it.  The stream keeps only a
-        weak reference to it, as the point refers to the table."""
-        ref = self._points.get(j)
-        point = ref and ref()
+        is sample j, kept for j below ``_STORED_SAMPLES``.  Threads that
+        build it together keep the one ``setdefault`` stores."""
+        point = self._points.get(j)
         if point is None:
             point = RationalPoint(table, tuple(map(Fraction, us, vs)))
             if j < _STORED_SAMPLES:
-                self._points[j] = weakref.ref(point)
+                point = self._points.setdefault(j, point)
         return point
 
 
@@ -237,8 +236,7 @@ def classify_polynomial(p: Polynomial, budget: int = DEFAULT_BUDGET,
     ``eval_at``, and each sample's sign is read off N alone, the integer
     numerator of p's value N/Q with Q > 0, so the loop builds no Fraction.
     Only the two witnesses become points, equal to the ones ``Lcg64.point``
-    would have drawn; a sample's point is one object, shared with every
-    other polynomial that sample witnesses for while some verdict holds it.
+    would have drawn, one object per stored sample (``_SampleStream.point``).
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

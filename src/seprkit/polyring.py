@@ -43,6 +43,7 @@ import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import prod
 from operator import itemgetter
 
@@ -71,8 +72,8 @@ class VariableTable:
     def __init__(self, names: Iterable[str] = ()) -> None:
         self._names: list[str] = []
         self._index: dict[str, int] = {}
-        # The orthant sampler's draws for this table (``orthant._stream_of``);
-        # they hold no reference back to the table, so they die with it.
+        # The orthant sampler's draws and witness points for this table
+        # (``orthant._stream_of``); the cycle collector frees them with it.
         self._sample_stream = None
         for name in names:
             self.add(name)
@@ -114,11 +115,6 @@ class VariableTable:
 
     def __repr__(self) -> str:
         return f"VariableTable({list(self._names)!r})"
-
-    def __getstate__(self) -> dict:
-        # copy and pickle leave the sample stream behind: it holds weak
-        # references, and ``orthant._stream_of`` rebuilds it on first use
-        return {**self.__dict__, "_sample_stream": None}
 
 
 def _same_table(a: VariableTable, b: VariableTable) -> bool:
@@ -230,6 +226,15 @@ def _index_getter(indices: Sequence[int]) -> Callable[[Sequence[int]], Sequence[
     return itemgetter(slice(0, 0))
 
 
+def _value_of(terms: Sequence[tuple[int, Callable]], common_of: Callable,
+              us: Sequence[int], vs: Sequence[int]) -> tuple[int, int]:
+    common = prod(common_of(vs))
+    total = 0
+    for coeff, of in terms:
+        total += coeff * prod(of(us)) * (common // prod(of(vs)))
+    return total, common
+
+
 def _mono_render(mono: tuple, names: Sequence[str]) -> str:
     """The monomial as ``x*y^3``, ``names`` being the table's name list."""
     factors = []
@@ -288,12 +293,12 @@ class _Record:
 class RationalPoint(_Record):
     """Exact rational value for every variable of a table, in table order.
 
-    The sample stream refers to a witness point weakly, and ``render()``
+    A witness point lives in its table's sample stream, and ``render()``
     keeps its text after the first call.  Points compare their tables as
     polynomials do, by names, and hash by their values alone."""
 
     _fields = ("table", "values")
-    __slots__ = (*_fields, "_text", "__weakref__")
+    __slots__ = (*_fields, "_text")
 
     def __init__(self, table: VariableTable, values: tuple[Fraction, ...]) -> None:
         object.__setattr__(self, "table", table)
@@ -530,6 +535,7 @@ class Polynomial:
         it at every point on lists built once per point and scales each row
         by the lcm of the Q its entries return; and the orthant sampler
         compiles once per polynomial and reads N's sign at every sample.
+        ``value_of`` is a ``partial`` of ``_value_of``, not a closure, so it pickles.
         """
         terms, top = [], {}
         for mono, coeff in self._terms.items():
@@ -542,15 +548,7 @@ class Polynomial:
                 if exp < top.get(index, 0):
                     top[index] = exp
         common_of = _index_getter([index for index, exp in top.items() for _ in range(-exp)])
-
-        def value_of(us: Sequence[int], vs: Sequence[int]) -> tuple[int, int]:
-            common = prod(common_of(vs))
-            total = 0
-            for coeff, of in terms:
-                total += coeff * prod(of(us)) * (common // prod(of(vs)))
-            return total, common
-
-        return max(top, default=-1) + 1, value_of
+        return max(top, default=-1) + 1, partial(_value_of, terms, common_of)
 
     def coeff_sign_summary(self) -> CoeffSignSummary:
         """Sound constant-sign certificate: all-positive coefficients force a

@@ -75,9 +75,8 @@ class SymMatrix:
                     raise ValueError("entry over a different variable table")
         self.table = table
         self.rows: tuple[tuple[Polynomial, ...], ...] = tuple(tuple(row) for row in rows)
-        # The plan of the family sums that the point path replays over
-        # integers (``minors._point_plan``), recorded at the first point
-        # evaluation, never here.
+        # The point path's plan (``minors._point_plan``), recorded at the
+        # first point evaluation, never here; copies and pickles carry it.
         self._point_plan = None
 
     @property

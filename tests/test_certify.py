@@ -8,7 +8,6 @@ import pickle
 import random
 import re
 import types
-import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -386,6 +385,17 @@ def test_certify_level_checks_the_order_before_enumerating(builtin_matrix, built
             certify_level(too_big, k, MinorTable(n, {}, zero))
 
 
+def test_certify_level_refuses_the_minors_of_another_matrix_size(builtin_matrix):
+    # only n is read off the matrix: the order-2 minor x^2 + y^2 of this
+    # 2x2 matrix is positive, which must not become a {0,+} guarantee for
+    # the 12x12 matrix's order 2, whose every minor is 0
+    small = matrix_from_document({"n": 2, "entries": [["x", "y"], ["-y", "x"]]})
+    minors = all_principal_minors(small)
+    with pytest.raises(ValueError, match="minors of an n=2 matrix cannot certify one of n=12"):
+        certify_level(builtin_matrix, 2, minors)
+    assert certify_level(small, 2, minors) == (frozenset("+"), METHOD_CONSTANT_SIGN, None)
+
+
 def search_cases(minors, k, level):
     """Which of the cases that let certify_level skip a division occur
     among the candidates it tried on order k."""
@@ -621,7 +631,6 @@ def test_points_verdicts_and_subsets_compare_as_values_and_refuse_assignment():
     same = RationalPoint(table, (Fraction(1), Fraction(2, 3)))
     assert point == same and point is not same and hash(point) == hash(same)
     assert point != RationalPoint(table, (Fraction(1), Fraction(1)))
-    assert weakref.ref(point)() is point
     text = point.render()
     assert text == "x=1 y=2/3" and point.render() is text
     assert repr(point) == "RationalPoint(x=1 y=2/3)"
@@ -687,7 +696,8 @@ def test_tuple_records_refuse_new_attributes_and_survive_copy_and_pickle(record)
 def test_reports_compare_copy_and_pickle_as_values(builtin_matrix):
     # a report's minor table compares by its minors and its witness points
     # by their tables' names, so equal work gives equal reports; a copied
-    # table leaves its sample stream behind, which holds weak references
+    # table carries its sample stream, so a copied minor classifies alike,
+    # its witnesses the copied report's own points on the copied table
     report = analyze(builtin_matrix)
     assert report == analyze(builtin_matrix)
     assert verify_paper_claims() == verify_paper_claims()
@@ -696,9 +706,12 @@ def test_reports_compare_copy_and_pickle_as_values(builtin_matrix):
     for copied in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
         assert copied == report
         table = copied.minors.minor(mask).table
-        assert table is not builtin_matrix.table and table._sample_stream is None
+        assert table is not builtin_matrix.table
         verdict = classify_polynomial(copied.minors.minor(mask))
-        assert verdict == report.classes[mask] and verdict.pos_witness.table is table
+        assert verdict == report.classes[mask]
+        own = copied.classes[mask]
+        assert verdict.pos_witness is own.pos_witness and verdict.neg_witness is own.neg_witness
+        assert verdict.pos_witness.table is table
     x, y = (analyze(matrix_from_document({"n": 1, "entries": [[name]]})) for name in "xy")
     assert x.minors != y.minors and x != y
 

@@ -38,6 +38,7 @@ from _oracles import (
     leibniz_det,
     monomial,
     principal_subgrid,
+    random_positive_point,
     sign_str,
 )
 
@@ -339,8 +340,8 @@ def test_one_analysis_draws_each_sample_once():
 
 def test_witnesses_of_one_sample_are_one_point_rendered_once():
     # a dense 6x6 analysis finds its many witnesses among a few samples;
-    # while the verdicts hold them, each sample is one point whose text is
-    # built on the first render and is that of a fresh point
+    # each sample is one point whose text is built on the first render and
+    # is that of a fresh point
     matrix = matrix_from_document(dense_document(random.Random(606), 6))
     report = analyze(matrix, seed=3)
     witnesses = [w for verdict in report.classes.values()
@@ -354,11 +355,32 @@ def test_witnesses_of_one_sample_are_one_point_rendered_once():
         texts = [witness.render() for witness in witnesses]
     assert items.call_count == len(by_values)
     assert texts == [RationalPoint(matrix.table, w.values).render() for w in witnesses]
-    # the stream does not keep a point alive once no verdict holds it
-    freed = weakref.ref(witnesses[0])
-    del report, witnesses, by_values, witness, items  # the mock records its calls
+    # the table's stream keeps its points once no verdict holds them: after
+    # the report is dropped, the minor's verdict is again that point, which
+    # still holds the text rendered above
+    mask, verdict = next((mask, verdict) for mask, verdict in report.classes.items()
+                         if verdict.kind is SignKind.MIXED)
+    minor, text = report.minors.minor(mask), verdict.pos_witness.render()
+    del report, witnesses, by_values, witness, items, verdict  # the mock records its calls
     gc.collect()
-    assert freed() is None and matrix.table._sample_stream is not None
+    again = classify_polynomial(minor, seed=3)
+    assert again.kind is SignKind.MIXED and again.pos_witness.render() is text
+
+
+def test_a_point_evaluated_matrix_copies_and_pickles_with_its_plan(builtin_matrix):
+    # the point plan that sepr_at_point keeps on a matrix is plain data, so
+    # the matrix still pickles and deep-copies, and the copy gives the same
+    # sepr-sequence at the same point
+    rng = random.Random(2626)
+    dense = matrix_from_document({"n": 6, "entries": [
+        [str(rng.choice([-1, 1]) * rng.randint(1, 9)) for _ in range(6)] for _ in range(6)]})
+    for matrix in (builtin_matrix, dense):
+        point = random_positive_point(rng, matrix.table)
+        text = str(sepr_at_point(matrix, point))
+        assert matrix._point_plan is not None
+        for copied in (pickle.loads(pickle.dumps(matrix)), copy.deepcopy(matrix)):
+            assert copied == matrix and copied._point_plan is not None
+            assert str(sepr_at_point(copied, point)) == text
 
 
 def test_the_sample_stream_dies_with_its_table():
