@@ -14,7 +14,8 @@ point):
   holds at every positive point, because each point lands in exactly one
   case.  The winning test's decompositions are kept in the certificate.
   One rule, ``_decompose``, draws every case conclusion from sign(m), q
-  and r; a test divides a minor only where (q, r) is not known beforehand
+  and r, and every q and r comes from ``reduce_by``.  The same rules tell
+  which minors a test need not divide and which candidates cannot win
   (see ``certify_level``).
 
 ``analyze`` runs the pipeline on any square matrix, assuming no answer;
@@ -38,8 +39,7 @@ from .orthant import (
     classify_polynomial,
     format_sign_set,
 )
-from .polyring import (CoeffSignSummary, Polynomial, _has_cancellable_term, _mono_quotient,
-                       _Record, reduce_by)
+from .polyring import CoeffSignSummary, Polynomial, _has_cancellable_term, _Record, reduce_by
 from .symmatrix import PAPER_MATRIX_DOCUMENT, IndexSet, SymMatrix, paper_matrix
 
 __all__ = [
@@ -183,44 +183,22 @@ def _sign_list(signs: frozenset) -> list[str]:
 def discover_pivots(minors: Sequence[Polynomial]) -> list[Polynomial]:
     """Candidate pivots: deduplicated primitive parts of the mixed-coefficient
     polynomials among ``minors`` (never constants, as a mixed polynomial has
-    two terms), sorted by rendered text so the search order is canonical."""
+    two terms), sorted by rendered text.  ``certify_level`` tries them in
+    this order, leaving out those that cannot win."""
     mixed = [m for m in minors if m.coeff_sign_summary() is CoeffSignSummary.MIXED_SIGNS]
-    return [pivot for pivot, _ in _candidates(enumerate(mixed))]
+    return sorted((pivot for pivot, _ in _candidates(mixed)), key=str)
 
 
-def _candidates(mixed: Iterable[tuple[int, Polynomial]]) -> list[tuple[Polynomial, list[int]]]:
-    """(candidate, keys of its owners) for the (key, mixed minor) pairs, in
-    ``discover_pivots`` order; an owner is a minor whose primitive part is
-    the candidate.  Every later piece of ``str(p)`` starts with a space,
-    which sorts below any character of a term, so distinct leading-term
-    texts sort as the full texts do: a candidate is rendered in full only
-    to break a tie."""
-    groups: dict[str, list[tuple[Polynomial, list[int]]]] = {}
-    for key, m in mixed:
+def _candidates(mixed: Iterable[Polynomial]) -> list[tuple[Polynomial, int]]:
+    """(candidate, number of its owners) for each distinct primitive part of
+    the mixed polynomials, in no set order; an owner is a polynomial whose
+    primitive part is the candidate.  Polynomials do not hash, so the
+    candidates are keyed by their terms."""
+    owners: dict[tuple, list] = {}
+    for m in mixed:
         candidate = m.primitive_part()
-        lead_mono, lead_coeff = candidate.leading_term()
-        lead = str(Polynomial._of_ordered(m.table, {lead_mono: lead_coeff}))
-        group = groups.setdefault(lead, [])
-        for known, owners in group:
-            if known == candidate:
-                owners.append(key)
-                break
-        else:
-            group.append((candidate, [key]))
-    ordered = []
-    for lead in sorted(groups):
-        ordered += sorted(groups[lead], key=lambda entry: str(entry[0])) \
-            if len(groups[lead]) > 1 else groups[lead]
-    return ordered
-
-
-def _owner_division(m: Polynomial, pivot: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """``reduce_by(m, pivot)`` of an owner m = s*c*D of the pivot, c its
-    monomial content and s its leading sign, with no division: (s*c, 0)."""
-    s = 1 if m.leading_coefficient() > 0 else -1
-    return (Polynomial._of_ordered(m.table, {
-        _mono_quotient(m.leading_monomial(), pivot.leading_monomial()): s}),
-        Polynomial.zero(m.table))
+        owners.setdefault(tuple(candidate.terms()), [candidate, 0])[1] += 1
+    return [(candidate, count) for candidate, count in owners.values()]
 
 
 def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertification:
@@ -234,10 +212,14 @@ def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertifi
     Certificate closes the gap), sampling-only (gap left open; only proven
     signs are reported).
 
-    A trial of candidate D divides a mixed minor m only when the result is
-    not known: an owner of D (m = s*c*D) has q = s*c and r = 0, and an m
-    where lead(D) divides no term gives (0, m), which concludes nothing, so
-    the trial leaves it out and builds it only if D wins.
+    A trial of candidate D divides the mixed minors where lead(D) cancels a
+    term; any other m gives (0, m), which concludes nothing, so the trial
+    leaves it out and divides it only if D wins.  In case D = 0 an owner of
+    D (m = s*c*D) has r = 0 and a minor left out has r = m, mixed, so a
+    candidate that reduces no minor but its owners concludes no + or - in
+    that case and cannot win: it is not tried.  The others are tried in
+    ``discover_pivots`` order, so the first winner is the same as if every
+    candidate were tried.
     """
     if minors.n != matrix.n:
         raise ValueError(f"minors of an n={minors.n} matrix cannot certify one of n={matrix.n}")
@@ -256,13 +238,16 @@ def certify_level(matrix: SymMatrix, k: int, minors: MinorTable) -> LevelCertifi
     if not missing:
         return LevelCertification(guaranteed, METHOD_CONSTANT_SIGN, None)
 
-    for pivot, owners in _candidates(mixed.items()):
+    tried = []
+    for pivot, owners in _candidates(mixed.values()):
         lead_mono, lead_coeff = pivot.leading_term()
-        trial = {mask: _decompose(mask, mixed[mask], None, *_owner_division(mixed[mask], pivot))
-                 for mask in owners}
-        trial.update((mask, _decompose(mask, m, None, *reduce_by(m, pivot)))
-                     for mask, m in mixed.items()
-                     if mask not in trial and _has_cancellable_term(m, lead_mono, lead_coeff))
+        reducible = [(mask, m) for mask, m in mixed.items()
+                     if _has_cancellable_term(m, lead_mono, lead_coeff)]
+        if len(reducible) > owners:
+            tried.append((pivot, reducible))
+    tried.sort(key=lambda entry: str(entry[0]))
+    for pivot, reducible in tried:
+        trial = {mask: _decompose(mask, m, None, *reduce_by(m, pivot)) for mask, m in reducible}
         if missing <= _concluded_everywhere(list(trial.values())):
             guaranteed |= missing
             # the won trial's decompositions join those of the other minors

@@ -30,7 +30,9 @@ the same result as the general code:
   sign, and the gcd scan stops once the content reaches 1;
 * the pivot search asks ``_has_cancellable_term`` before it divides a
   minor m: when lead(D) cancels no term of m, ``reduce_by`` would return
-  (0, m), which concludes nothing, so the trial leaves m out.
+  (0, m), which concludes nothing, so the trial leaves m out, and a
+  candidate that cancels a term of no minor but those it is the primitive
+  part of is not tried at all.
 
 Every product is sorted once, in ``Polynomial.__init__``, and ``reduce_by``
 has one path, its loop.
@@ -260,7 +262,8 @@ class _Record:
     shared.  ``==`` and ``hash()`` are those of the tuple of the fields in
     order, between instances of one class, ``repr()`` shows
     ``Class(field=value, ...)``, and copy and pickle rebuild an instance
-    through ``__init__``."""
+    through ``__init__``, once per copy even where its fields lead back to
+    it."""
 
     __slots__ = ()
     _fields: tuple[str, ...]
@@ -288,6 +291,17 @@ class _Record:
 
     def __reduce__(self) -> tuple:
         return self.__class__, self._values()
+
+    def __deepcopy__(self, memo: dict) -> "_Record":
+        # A point's table holds its sample stream, and the stream may hold
+        # this very point: the copy of the fields then copied it first, and
+        # that copy is the one to return.  ``pickle`` reuses it the same way.
+        import copy
+        values = copy.deepcopy(self._values(), memo)
+        done = memo.get(id(self))
+        if done is not None:
+            return done
+        return self.__class__(*values)
 
 
 class RationalPoint(_Record):

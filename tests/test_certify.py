@@ -242,9 +242,8 @@ def test_discover_pivots_skips_constant_sign_polynomials():
 
 
 def test_discover_pivots_orders_a_shared_leading_term_by_the_full_text():
-    # candidates are grouped by leading text; a group of several is ordered
-    # by full text, and a leading text that is a prefix of another sorts
-    # first, as its next character in the full text is a space
+    # candidates that share a leading term, or whose leading term's text
+    # is a prefix of another's, still sort by their full text
     table = VariableTable(["x", "y", "z", "w"])
     x, y, z, w = (Polynomial.variable(table, name) for name in "xyzw")
     minors = [x * y - z, z * (x * y - z), -(x * y - z), x * y - w, x * y - 2 * z,
@@ -288,11 +287,10 @@ def test_certify_level_results_for_builtin_matrix(builtin_matrix, builtin_minors
 
 def test_a_won_level_divides_each_minor_by_the_pivot_once(
         monkeypatch, builtin_matrix, builtin_minors):
-    # the decompositions that test the winning pivot are its certificate,
-    # and a trial divides a minor only where the result is not known: a
-    # minor whose primitive part is the candidate (an owner) is m = s*c*D,
-    # and one where lead(D) divides no term gives (0, m) and is divided
-    # only once the pivot has won, like a constant-sign minor
+    # the decompositions that test the winning pivot are its certificate:
+    # a trial divides each minor where lead(D) cancels a term, owners of
+    # the candidate included, and one where it cancels none gives (0, m)
+    # and is divided only once the pivot has won, like a constant-sign minor
     constant = matrix_from_document(PIVOT_WITH_CONSTANT_MINORS)
     constant_minors = all_principal_minors(constant)
     calls = []
@@ -304,13 +302,14 @@ def test_a_won_level_divides_each_minor_by_the_pivot_once(
     monkeypatch.setattr("seprkit.certify.reduce_by", counting_reduce_by)
     level = certify_level(builtin_matrix, 9, builtin_minors)
     assert level.method == METHOD_PIVOT
-    # of the four size-9 minors, j = 3 and j = 4 own the pivot
+    # lead(D) = b1*b4 cancels a term of each of the four size-9 minors, of
+    # which j = 3 and j = 4 own the pivot
     assert calls == [(builtin_minors.minor(s.mask()), level.certificate.pivot)
-                     for s in SIZE9_SUBSETS[2:]]
+                     for s in SIZE9_SUBSETS]
     calls.clear()
     level3 = certify_level(constant, 3, constant_minors)
     assert level3.method == METHOD_PIVOT
-    assert len(calls) == 9
+    assert len(calls) == 10
     monkeypatch.undo()
     owners = 0
     for won in (level, level3):
@@ -346,8 +345,8 @@ def test_reduce_by_matches_the_reference_on_every_dense_minor_and_candidate():
 
 def test_a_dense_level_builds_a_heap_only_for_divisions_that_divide(monkeypatch):
     # with a distinct variable in every entry, each candidate's only minor
-    # that lead(D) can reduce is its owner, whose quotient is known, so the
-    # search divides nothing and builds no heap
+    # that lead(D) can reduce is its owner, so no candidate can win case
+    # D = 0: none is tried, and the search divides nothing and builds no heap
     matrix = matrix_from_document(random_signed_document(random.Random(913), 5, 1.0))
     minors = all_principal_minors(matrix)
     heaps, calls = [], []
@@ -397,8 +396,11 @@ def test_certify_level_refuses_the_minors_of_another_matrix_size(builtin_matrix)
 
 
 def search_cases(minors, k, level):
-    """Which of the cases that let certify_level skip a division occur
-    among the candidates it tried on order k."""
+    """Which of the cases that the search must order or divide correctly
+    occur among the candidates up to the winner (all of them on a level
+    with no winner) on order k: several owners, leading terms of the same
+    text, a lead that divides a term of higher degree, and a leading
+    coefficient other than 1."""
     mixed = [m for _, m in minors.nonzero_of_order(k)
              if m.coeff_sign_summary() is CoeffSignSummary.MIXED_SIGNS]
     candidates = pivot_candidates_reference(mixed)
@@ -419,7 +421,9 @@ def search_cases(minors, k, level):
     return cases
 
 
-def test_certify_level_matches_the_exhaustive_reference():
+def search_documents():
+    """The matrices on which the pivot search is checked against the
+    exhaustive reference."""
     rng = random.Random(515)
     documents = [PAPER_MATRIX_DOCUMENT, mutated_document(), PIVOT_WITH_CONSTANT_MINORS,
                  PIVOT_WITH_CONSTANT_MINORS_ROW3_DOUBLED, SHARED_FACTOR, SHARED_LEADING_TERM]
@@ -429,9 +433,13 @@ def test_certify_level_matches_the_exhaustive_reference():
     documents += [random_entry_document(rng, n, density, names)
                   for n in (3, 4) for density in (0.6, 1.0) for names in ("xy", "xyzw")
                   for _ in range(4)]
+    return documents
+
+
+def test_certify_level_matches_the_exhaustive_reference():
     methods, cases = set(), set()
     pivot_beside_constant_minors = False
-    for document in documents:
+    for document in search_documents():
         matrix = matrix_from_document(document)
         minors = all_principal_minors(matrix)
         for k in range(1, matrix.n + 1):
@@ -451,6 +459,56 @@ def test_certify_level_matches_the_exhaustive_reference():
     assert pivot_beside_constant_minors
     assert cases == {"several owners", "shared leading text", "lead divides a higher term",
                      "leading coefficient not 1"}
+
+
+def test_the_search_tries_only_candidates_that_can_win_case_d_zero(monkeypatch):
+    # In case D = 0 an owner of D has r = 0 and a minor that D does not
+    # reduce has r = m, which is mixed, so a candidate that reduces no mixed
+    # minor but its owners concludes neither + nor - there.  certify_level
+    # divides by the other candidates only, in text order up to the winner.
+    divisors = []
+
+    def recording_reduce_by(m, D):
+        if not divisors or divisors[-1] != str(D):
+            divisors.append(str(D))
+        return reduce_by(m, D)
+
+    monkeypatch.setattr("seprkit.certify.reduce_by", recording_reduce_by)
+    seen = set()
+    for document in search_documents():
+        matrix = matrix_from_document(document)
+        minors = all_principal_minors(matrix)
+        for k in range(1, matrix.n + 1):
+            divisors.clear()
+            level = certify_level(matrix, k, minors)
+            if level.method not in (METHOD_PIVOT, METHOD_SAMPLING):
+                continue
+            nonzero = minors.nonzero_of_order(k)
+            mixed = [m for _, m in nonzero
+                     if m.coeff_sign_summary() is CoeffSignSummary.MIXED_SIGNS]
+            missing = {"+", "-"} - {_CONSTANT_SIGN.get(m.coeff_sign_summary())
+                                    for _, m in nonzero}
+            tried = []
+            for pivot, owners in pivot_candidates_reference(mixed):
+                decs = [case_rule_reference(m, pivot, mask) for mask, m in nonzero]
+                others = [m for m in mixed if not any(m is owner for owner in owners)]
+                if all(reduce_by_reference(m, pivot)[0].is_zero() for m in others):
+                    at_zero = {dec.concluded("D=0") for dec in decs
+                               if dec.minor.coeff_sign_summary() is CoeffSignSummary.MIXED_SIGNS}
+                    assert not at_zero & {"+", "-"}, (document, k, str(pivot))
+                    seen.add("skipped")
+                    continue
+                tried.append(str(pivot))
+                concluded = {"+", "-"}
+                for case in ("D>0", "D<0", "D=0"):
+                    concluded &= {dec.concluded(case) for dec in decs}
+                if missing <= concluded:
+                    assert level.certificate.pivot == pivot, (document, k)
+                    seen.add("won")
+                    break
+                seen.add("lost")
+            assert divisors == tried, (document, k)
+    assert seen == {"skipped", "lost", "won"}
 
 
 def test_certificate_soundness_on_sampled_and_projected_points(builtin_matrix, builtin_minors):

@@ -383,6 +383,29 @@ def test_a_point_evaluated_matrix_copies_and_pickles_with_its_plan(builtin_matri
             assert str(sepr_at_point(copied, point)) == text
 
 
+def test_a_copied_verdict_shares_its_witnesses_with_the_copied_stream():
+    # a lone verdict reaches its table's stream through its witness, and the
+    # stream holds that witness again: a deep copy, like a pickle, keeps one
+    # point for the sample, the one a later classification returns
+    table = VariableTable(["x", "y"])
+    x, y = Polynomial.variable(table, "x"), Polynomial.variable(table, "y")
+    verdict = classify_polynomial(x - y)
+    assert verdict.kind is SignKind.MIXED
+    for copied in (copy.deepcopy(verdict), pickle.loads(pickle.dumps(verdict))):
+        assert copied == verdict
+        other = copied.pos_witness.table
+        assert other is not table and other._sample_stream is not table._sample_stream
+        points = list(other._sample_stream._points.values())
+        assert any(point is copied.pos_witness for point in points)
+        assert any(point is copied.neg_witness for point in points)
+        again = classify_polynomial(Polynomial.variable(other, "x")
+                                    - Polynomial.variable(other, "y"))
+        assert again.pos_witness is copied.pos_witness
+        assert again.neg_witness is copied.neg_witness
+    copied = copy.deepcopy(verdict.pos_witness)
+    assert any(stored is copied for stored in copied.table._sample_stream._points.values())
+
+
 def test_the_sample_stream_dies_with_its_table():
     # the stream lives on the table and holds nothing that refers back to
     # it, so the table, its points and its minors are freed together
