@@ -9,19 +9,23 @@ picture.
 The single term order used everywhere (canonical forms, leading terms,
 division) is graded lexicographic: higher total degree wins, ties are broken
 lexicographically with variable precedence equal to declaration order in the
-``VariableTable``.  A monomial is the plain tuple
-``(-degree, i1, -e1, i2, -e2, ...)`` with increasing variable indices and
-positive exponents, stored negated; ``(0,)`` is 1.  The tuple is its own sort
-key: ascending tuple order is descending term order, so canonical forms sort
-the tuples as they are and ``reduce_by`` pops the greatest pending monomial
-off a heap of them.  Product, divisibility, quotient, gcd and rendering of
-monomials are the private ``_mono_*`` functions below, and ``_mono_indices``
-lists a monomial's variable indices with repetition for the compiled
-evaluator ``Polynomial._evaluator``, the one code that evaluates a
-polynomial at a point; apart from them only ``_accumulate`` (the one
-product and sum kernel), ``Polynomial.variable``, ``constant``,
-``degree``, ``_evaluator`` and ``_has_cancellable_term`` read the layout,
-and a few methods compare a monomial with 1, ``(0,)``.
+``VariableTable``.  A monomial is the plain tuple ``(-degree, i1, ..., id)``
+of its variable indices, non-decreasing, each repeated as often as its
+exponent; ``(0,)`` is 1.  The tuple is its own sort key: of two monomials
+of one degree, the one with the smaller index at the first position where
+they differ has more copies of that variable and as many of every earlier
+one, so ascending tuple order is descending term order.  Canonical forms
+sort the tuples as they are and ``reduce_by`` pops the greatest pending
+monomial off a heap of them.  A monomial product is one sort of both
+tuples' fields; divisibility, quotient and gcd are one merge walk each
+(sub-multiset, multiset difference, multiset intersection), and a power
+renders from a run of one index: these are the private ``_mono_*``
+functions below.  The compiled evaluator ``Polynomial._evaluator``, the one
+code that evaluates a polynomial at a point, picks each term's factors by
+the indices as they stand.  Apart from them only ``_accumulate`` (the one
+product and sum kernel), ``Polynomial.variable``, ``constant``, ``degree``
+and ``_has_cancellable_term`` read the layout, and a few methods compare a
+monomial with 1, ``(0,)``.
 
 Two shortcuts skip work whose result is known beforehand, and each gives
 the same result as the general code:
@@ -46,6 +50,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from itertools import groupby
 from math import prod
 from operator import itemgetter
 
@@ -132,24 +137,13 @@ def _check_tables(a: VariableTable, b: VariableTable) -> None:
 
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
-    """The product a*b."""
-    out = [a[0] + b[0]]
-    i = j = 1
-    len_a, len_b = len(a), len(b)
-    while i < len_a and j < len_b:
-        if a[i] < b[j]:
-            out += a[i:i + 2]
-            i += 2
-        elif a[i] > b[j]:
-            out += b[j:j + 2]
-            j += 2
-        else:
-            out += (a[i], a[i + 1] + b[j + 1])
-            i += 2
-            j += 2
-    out += a[i:]
-    out += b[j:]
-    return tuple(out)
+    """The product a*b.  Every degree field is at most 0 and every index at
+    least 0, so the two degree fields sort first; their sum leads the
+    merged indices."""
+    fields = sorted(a + b)
+    fields[1] += fields[0]
+    del fields[0]
+    return tuple(fields)
 
 
 def _accumulate(merged: dict, pairs: Iterable[tuple[dict, dict]]) -> dict:
@@ -172,49 +166,46 @@ def _accumulate(merged: dict, pairs: Iterable[tuple[dict, dict]]) -> dict:
 
 
 def _mono_divides(a: tuple, b: tuple) -> bool:
-    """True if a divides b: every exponent of a is covered by b."""
+    """True if a divides b: a's indices are a sub-multiset of b's, which for
+    two sorted lists means a subsequence."""
     j, len_b = 1, len(b)
-    for i in range(1, len(a), 2):
-        index = a[i]
+    for k in range(1, len(a)):
+        index = a[k]
         while j < len_b and b[j] < index:
-            j += 2
-        if j == len_b or b[j] != index or b[j + 1] > a[i + 1]:
+            j += 1
+        if j == len_b or b[j] != index:
             return False
-        j += 2
+        j += 1
     return True
 
 
-def _mono_of(pairs: Iterable[tuple[int, int]]) -> tuple:
-    """The monomial of index-sorted (index, negated exponent) pairs, zeros
-    dropped."""
-    flat = [0]
-    for index, exp in pairs:
-        if exp:
-            flat[0] += exp
-            flat += (index, exp)
-    return tuple(flat)
-
-
 def _mono_quotient(a: tuple, b: tuple) -> tuple:
-    """The quotient a/b of a by a divisor b."""
-    exps = dict(zip(b[1::2], b[2::2]))
-    return _mono_of((index, exp - exps.get(index, 0)) for index, exp in zip(a[1::2], a[2::2]))
+    """The quotient a/b of a by a divisor b: a's indices less b's."""
+    out = [a[0] - b[0]]
+    j, len_b = 1, len(b)
+    for k in range(1, len(a)):
+        if j < len_b and b[j] == a[k]:
+            j += 1
+        else:
+            out.append(a[k])
+    return tuple(out)
 
 
 def _mono_gcd(a: tuple, b: tuple) -> tuple:
-    """The exponent-wise minimum of a and b."""
-    exps = dict(zip(b[1::2], b[2::2]))
-    return _mono_of((index, max(exp, exps[index]))
-                    for index, exp in zip(a[1::2], a[2::2]) if index in exps)
-
-
-def _mono_indices(mono: tuple) -> tuple[int, ...]:
-    """The variable indices of the monomial, each repeated as often as its
-    exponent; a monomial whose degree equals its number of variables is
-    multilinear, so they are its index fields as they stand."""
-    if -mono[0] == len(mono) >> 1:
-        return mono[1::2]
-    return tuple(index for index, exp in zip(mono[1::2], mono[2::2]) for _ in range(-exp))
+    """The exponent-wise minimum of a and b: the indices they share."""
+    shared = []
+    i = j = 1
+    len_a, len_b = len(a), len(b)
+    while i < len_a and j < len_b:
+        if a[i] < b[j]:
+            i += 1
+        elif a[i] > b[j]:
+            j += 1
+        else:
+            shared.append(a[i])
+            i += 1
+            j += 1
+    return (-len(shared), *shared)
 
 
 def _index_getter(indices: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
@@ -238,11 +229,12 @@ def _value_of(terms: Sequence[tuple[int, Callable]], common_of: Callable,
 
 
 def _mono_render(mono: tuple, names: Sequence[str]) -> str:
-    """The monomial as ``x*y^3``, ``names`` being the table's name list."""
+    """The monomial as ``x*y^3``, ``names`` being the table's name list: each
+    run of one index is a power."""
     factors = []
-    for k in range(1, len(mono), 2):
-        name = names[mono[k]]
-        factors.append(name if mono[k + 1] == -1 else f"{name}^{-mono[k + 1]}")
+    for index, run in groupby(mono[1:]):
+        exp = sum(1 for _ in run)
+        factors.append(names[index] if exp == 1 else f"{names[index]}^{exp}")
     return "*".join(factors)
 
 
@@ -440,7 +432,7 @@ class Polynomial:
     @staticmethod
     def variable(table: VariableTable, name: str) -> "Polynomial":
         """Polynomial for a single variable, declared on first use."""
-        return Polynomial(table, {(-1, table.add(name), -1): 1})
+        return Polynomial(table, {(-1, table.add(name)): 1})
 
     # -- structure ---------------------------------------------------------
 
@@ -539,29 +531,31 @@ class Polynomial:
         With D_i the top exponent of variable i, every term is an integer
         multiple of 1/Q for Q = prod vs[i]^D_i, so N is a sum of integers
         and carries the sign of the value.  The terms are compiled once into
-        (coefficient, getter) pairs, the getter picking each variable's index
-        as often as its exponent, so a call reads every term as
-        ``c * prod(g(us)) * (Q // prod(g(vs)))`` without walking the
-        monomial tuple; Q is picked the same way, and the D_i are collected
-        in the same walk over the terms that builds their getters.  This is
-        the one evaluator: ``eval_at`` calls it once; ``minor_values_at``
-        compiles each matrix entry once, into the matrix's point plan, calls
-        it at every point on lists built once per point and scales each row
-        by the lcm of the Q its entries return; and the orthant sampler
-        compiles once per polynomial and reads N's sign at every sample.
+        (coefficient, getter) pairs, the getter picking the monomial's
+        indices as they stand, each as often as its exponent, so a call
+        reads every term as ``c * prod(g(us)) * (Q // prod(g(vs)))``
+        without walking the monomial tuple; Q is picked the same way, and
+        each D_i is the longest run of index i, read in the same walk over
+        the terms that builds their getters.  This is the one evaluator:
+        ``eval_at`` calls it once; ``minor_values_at`` compiles each matrix
+        entry once, into the matrix's point plan, calls it at every point on
+        lists built once per point and scales each row by the lcm of the Q
+        its entries return; and the orthant sampler compiles once per
+        polynomial and reads N's sign at every sample.
         ``value_of`` is a ``partial`` of ``_value_of``, not a closure, so it pickles.
         """
         terms, top = [], {}
         for mono, coeff in self._terms.items():
-            terms.append((coeff, _index_getter(_mono_indices(mono))))
-            # (index, negated exponent) pairs follow the degree field
-            fields = iter(mono)
-            next(fields)
-            for index in fields:
-                exp = next(fields)
-                if exp < top.get(index, 0):
-                    top[index] = exp
-        common_of = _index_getter([index for index, exp in top.items() for _ in range(-exp)])
+            indices = mono[1:]
+            terms.append((coeff, _index_getter(indices)))
+            # a run of one index is its exponent
+            previous = run = None
+            for index in indices:
+                run = run + 1 if index == previous else 1
+                previous = index
+                if run > top.get(index, 0):
+                    top[index] = run
+        common_of = _index_getter([index for index, exp in top.items() for _ in range(exp)])
         return max(top, default=-1) + 1, partial(_value_of, terms, common_of)
 
     def coeff_sign_summary(self) -> CoeffSignSummary:

@@ -154,26 +154,38 @@ def transposed(matrix: SymMatrix) -> SymMatrix:
     return SymMatrix(matrix.table, [list(col) for col in zip(*matrix.rows)])
 
 
+def random_entry_document(rng, n, density, names):
+    """Each nonzero entry a constant 1-3, or one of a few shared variables
+    times 1, 2 or 3, negated with probability 0.4."""
+    def entry():
+        if rng.random() >= density:
+            return "0"
+        sign = "-" if rng.random() < 0.4 else ""
+        if rng.random() < 0.2:
+            return sign + str(rng.randint(1, 3))
+        return sign + rng.choice(["", "", "2*", "3*"]) + rng.choice(names)
+    return {"n": n, "entries": [[entry() for _ in range(n)] for _ in range(n)]}
+
+
 def monomial(exponents: dict) -> tuple:
     """Encode {variable index: exponent} in the documented monomial layout
-    ``(-degree, i1, -e1, i2, -e2, ...)``: increasing indices, positive
-    exponents stored negated, ``(0,)`` for 1."""
-    flat = [-sum(exponents.values())]
-    for index in sorted(exponents):
-        if exponents[index]:
-            flat += (index, -exponents[index])
-    return tuple(flat)
+    ``(-degree, i1, ..., id)``: the variable indices in increasing order,
+    each repeated as often as its exponent, ``(0,)`` for 1."""
+    indices = [index for index in sorted(exponents) for _ in range(exponents[index])]
+    return (-len(indices), *indices)
 
 
 def exponents(mono: tuple) -> dict:
     """Decode a monomial to {variable index: exponent}, asserting that it
     follows the documented layout, degree field included."""
-    indices, negated = mono[1::2], mono[2::2]
-    assert len(indices) == len(negated), mono
-    assert list(indices) == sorted(set(indices)), mono
-    assert all(e < 0 for e in negated), mono
-    assert mono[0] == sum(negated), mono
-    return {index: -e for index, e in zip(indices, negated)}
+    indices = mono[1:]
+    assert list(indices) == sorted(indices), mono
+    assert all(isinstance(index, int) and index >= 0 for index in indices), mono
+    assert mono[0] == -len(indices), mono
+    decoded = {}
+    for index in indices:
+        decoded[index] = decoded.get(index, 0) + 1
+    return decoded
 
 
 def monomial_product(a: tuple, b: tuple) -> tuple:

@@ -60,6 +60,7 @@ from _oracles import (
     certify_level_reference,
     monomial_divides,
     pivot_candidates_reference,
+    random_entry_document,
     random_polynomial,
     random_positive_point,
     reduce_by_reference,
@@ -97,19 +98,6 @@ def random_signed_document(rng, n, density):
     entries = [[("-" if rng.random() < 0.4 else "") + next(names)
                 if rng.random() < density else "0" for _ in range(n)] for _ in range(n)]
     return {"n": n, "entries": entries}
-
-
-def random_entry_document(rng, n, density, names):
-    """Each nonzero entry a constant 1-3, or one of a few shared variables
-    times 1, 2 or 3, negated with probability 0.4."""
-    def entry():
-        if rng.random() >= density:
-            return "0"
-        sign = "-" if rng.random() < 0.4 else ""
-        if rng.random() < 0.2:
-            return sign + str(rng.randint(1, 3))
-        return sign + rng.choice(["", "", "2*", "3*"]) + rng.choice(names)
-    return {"n": n, "entries": [[entry() for _ in range(n)] for _ in range(n)]}
 
 
 # pivot-case-split at k = 3, where two all-positive minors join the certificate

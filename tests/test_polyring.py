@@ -13,6 +13,8 @@ from seprkit import (
     Polynomial,
     RationalPoint,
     VariableTable,
+    all_principal_minors,
+    matrix_from_document,
     reduce_by,
 )
 from seprkit import polyring
@@ -20,6 +22,7 @@ from seprkit.exprparse import MAX_DEGREE
 from _oracles import (
     eval_reference,
     exponents,
+    gauss_det,
     grlex_less,
     monomial,
     monomial_content_reference,
@@ -95,7 +98,7 @@ def test_monomial_multiplication_and_division():
     table = VariableTable(["x", "y", "z"])
     m = monomial({0: 2, 1: 1})
     d = monomial({0: 1})
-    assert m == (-3, 0, -2, 1, -1) and monomial({}) == (0,)
+    assert m == (-3, 0, 0, 1) and monomial({}) == (0,)
     assert (term(table, m) * term(table, d)).leading_monomial() == monomial({0: 3, 1: 1})
     assert reduce_by(term(table, m), term(table, d)) \
         == (term(table, monomial({0: 1, 1: 1})), Polynomial.zero(table))
@@ -533,6 +536,42 @@ def test_monomial_content_and_primitive_part_match_exponent_minima():
             assert primitive is p
         contents.add((content == (0,), p.leading_coefficient() > 0))
     assert contents == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_long_monomials_at_the_degree_bound():
+    # powers at the parser's degree bound on the diagonal and products off
+    # it: the full 3x3 minor has degree 3 * MAX_DEGREE, so every monomial
+    # tuple is long and most hold long runs of one index
+    document = {"n": 3, "variables": ["x", "y", "z"], "entries": [
+        [f"x^{MAX_DEGREE}", "x*y", "-2*x*z"],
+        ["y*z", f"y^{MAX_DEGREE}", "3*x*y"],
+        ["x*z", "-y*z", f"z^{MAX_DEGREE} - x*y*z"]]}
+    matrix = matrix_from_document(document)
+    table = matrix.table
+    full = all_principal_minors(matrix).minor(0b111)
+    # every monomial decodes, and the top degree is the sum of the powers
+    degrees = [sum(exponents(mono).values()) for mono, _ in full.terms()]
+    assert full.degree == max(degrees) == 3 * MAX_DEGREE
+    assert full.leading_coefficient() == 1
+    assert str(term(table, full.leading_monomial())) == \
+        f"x^{MAX_DEGREE}*y^{MAX_DEGREE}*z^{MAX_DEGREE}"
+    rng = random.Random(96)
+    for _ in range(5):
+        point = random_positive_point(rng, table)
+        value = full.eval_at(point)
+        assert value == eval_reference(full, point)
+        assert value == gauss_det([[entry.eval_at(point) for entry in row]
+                                   for row in matrix.rows])
+    entries = [entry for row in matrix.rows for entry in row]
+    for entry in entries:
+        assert reduce_by(full, entry) == reduce_by_reference(full, entry), entry
+    # the minor's content is x*y^2*z; a factor of high degree lengthens it
+    factor = monomial({0: 5, 2: MAX_DEGREE})
+    shifted = full * term(table, factor)
+    for p in (full, shifted, *entries):
+        assert p.monomial_content() == monomial_content_reference(p), p
+    assert exponents(full.monomial_content()) == {0: 1, 1: 2, 2: 1}
+    assert shifted.monomial_content() == monomial_product(full.monomial_content(), factor)
 
 
 # ------------------------------------------------------------------ points
