@@ -15,11 +15,13 @@ every polynomial of the table reads them from there.  A table keeps one
 stream, that of the last seed and length it was sampled at, so calls that
 alternate seeds over one table draw afresh each time.  A sample that becomes
 a witness is one point, kept by the stream and rendered once, for every
-verdict it witnesses.  The stream is plain data, ints and those points, so
-copies and pickles of the table carry it, and the cycle collector frees it
-with its table.  It stores at most ``_STORED_SAMPLES`` samples whatever the
-budget: a polynomial that needs more continues the generator from the last
-stored state without storing.  Threads may share a stream (``_SampleStream``).
+verdict it witnesses.  The stream is plain data, ints and those points,
+which hold names and Fractions but not the table, so copies and pickles of
+the table carry it, those of a verdict carry only its points, and the
+stream is freed with its table as soon as nothing holds the table.  It
+stores at most ``_STORED_SAMPLES`` samples whatever the budget: a
+polynomial that needs more continues the generator from the last stored
+state without storing.  Threads may share a stream (``_SampleStream``).
 Each polynomial keeps its own early-exit loop over the stream, so verdicts
 and witnesses are exactly those of a fresh ``Lcg64(seed)`` per call.
 """
@@ -105,8 +107,7 @@ _STORED_SAMPLES = 256
 class _SampleStream:
     """The samples ``Lcg64(seed)`` draws for a table of ``n`` variables,
     each drawn once and read by every polynomial classified over the table
-    with that seed.  Its witness points refer to the table, so the cycle
-    collector frees the table and the stream together.
+    with that seed.  Nothing in it refers back to the table.
 
     Sample j is (us, vs, state): the u and v lists of the point
     ``Lcg64.point`` would draw j-th, and the generator state after it.

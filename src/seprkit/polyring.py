@@ -80,7 +80,7 @@ class VariableTable:
         self._names: list[str] = []
         self._index: dict[str, int] = {}
         # The orthant sampler's draws and witness points for this table
-        # (``orthant._stream_of``); the cycle collector frees them with it.
+        # (``orthant._stream_of``), plain data freed with the table.
         self._sample_stream = None
         for name in names:
             self.add(name)
@@ -254,8 +254,7 @@ class _Record:
     shared.  ``==`` and ``hash()`` are those of the tuple of the fields in
     order, between instances of one class, ``repr()`` shows
     ``Class(field=value, ...)``, and copy and pickle rebuild an instance
-    through ``__init__``, once per copy even where its fields lead back to
-    it."""
+    through ``__init__``."""
 
     __slots__ = ()
     _fields: tuple[str, ...]
@@ -284,30 +283,20 @@ class _Record:
     def __reduce__(self) -> tuple:
         return self.__class__, self._values()
 
-    def __deepcopy__(self, memo: dict) -> "_Record":
-        # A point's table holds its sample stream, and the stream may hold
-        # this very point: the copy of the fields then copied it first, and
-        # that copy is the one to return.  ``pickle`` reuses it the same way.
-        import copy
-        values = copy.deepcopy(self._values(), memo)
-        done = memo.get(id(self))
-        if done is not None:
-            return done
-        return self.__class__(*values)
-
 
 class RationalPoint(_Record):
-    """Exact rational value for every variable of a table, in table order.
+    """Exact rational value for every variable of a table, in table order:
+    ``names`` holds the table's names as they were when the point was built.
 
-    A witness point lives in its table's sample stream, and ``render()``
-    keeps its text after the first call.  Points compare their tables as
-    polynomials do, by names, and hash by their values alone."""
+    A point is a plain value, holding names and Fractions but no table, so
+    points compare as polynomials compare their tables, by names.
+    ``render()`` keeps its text after the first call."""
 
-    _fields = ("table", "values")
+    _fields = ("names", "values")
     __slots__ = (*_fields, "_text")
 
-    def __init__(self, table: VariableTable, values: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "table", table)
+    def __init__(self, names: Iterable[str], values: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "names", tuple(names))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_text", None)
 
@@ -345,20 +334,11 @@ class RationalPoint(_Record):
                 raise ValueError(f"variable {name!r} unassigned")
         return RationalPoint(table, tuple(exact[name] for name in table))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.values == other.values and _same_table(self.table, other.table)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.values)
-
     def is_strictly_positive(self) -> bool:
         return all(v > 0 for v in self.values)
 
     def items(self) -> Iterator[tuple[str, Fraction]]:
-        for index, value in enumerate(self.values):
-            yield self.table.name(index), value
+        return zip(self.names, self.values)
 
     def render(self) -> str:
         # kept after the first call: the values and their names never change
@@ -376,17 +356,17 @@ def _point_lists(point: RationalPoint, table: VariableTable,
                  length: int) -> tuple[list[int], list[int]]:
     """The numerators and the positive denominators of the point's values of
     variables 0..length-1 of ``table``, the lists the compiled evaluator
-    reads.  The point's table must name those variables at the same indices
-    and the point must give each a value; else ValueError names the variable,
-    for a missing value the last one, which the caller reads."""
+    reads.  The point must name those variables at the same indices and give
+    each a value; else ValueError names the variable, for a missing value
+    the last one, which the caller reads."""
     if length:
-        names, given = table._names, point.table._names
-        if given is not names and given[:length] != names[:length]:
-            for name, other in zip(names[:length], given):
+        names, given = tuple(table._names[:length]), point.names[:length]
+        if given != names:
+            for name, other in zip(names, given):
                 if name != other:
                     raise ValueError(f"the point has {other!r} where the table has {name!r}")
         if min(len(given), len(point.values)) < length:
-            raise ValueError(f"variable {names[length - 1]!r} unassigned")
+            raise ValueError(f"variable {names[-1]!r} unassigned")
     values = point.values[:length]
     return [value.numerator for value in values], [value.denominator for value in values]
 
@@ -399,21 +379,12 @@ class Polynomial:
     def __init__(self, table: VariableTable, terms: Mapping[tuple, int] | None = None):
         cleaned = {}
         if terms:
-            for mono, coeff in sorted(terms.items()):
+            for mono in sorted(terms):
+                coeff = terms[mono]
                 if coeff:
                     cleaned[mono] = coeff
         self.table = table
         self._terms = cleaned
-
-    @staticmethod
-    def _of_ordered(table: VariableTable, terms: dict[tuple, int]) -> "Polynomial":
-        """The polynomial of ``terms``, trusted to be in descending term order
-        with no zero coefficient already, so they are neither sorted nor
-        filtered again."""
-        p = Polynomial.__new__(Polynomial)
-        p.table = table
-        p._terms = terms
-        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -489,7 +460,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._of_ordered(self.table, {m: -c for m, c in self._terms.items()})
+        return Polynomial(self.table, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
         return self + (-self._coerce(other))
@@ -517,8 +488,8 @@ class Polynomial:
         """Exact rational value at ``point``; a ring homomorphism.  The
         compiled evaluator sums in integers over the variables up to the
         highest one that occurs, read off the point by ``_point_lists``
-        (which raises ValueError unless the point's table agrees with this
-        polynomial's that far), and one Fraction is built at the end."""
+        (which raises ValueError unless the point's names agree with this
+        polynomial's table that far), and one Fraction is built at the end."""
         length, value_of = self._evaluator()
         return Fraction(*value_of(*_point_lists(point, self.table, length)))
 

@@ -429,7 +429,7 @@ def test_the_evaluator_gives_the_exact_value_over_a_positive_denominator():
 
 
 def test_eval_at_checks_the_point_table():
-    # the point's table must name the polynomial's variables at the same
+    # the point's names must be the polynomial's variables at the same
     # indices, and give every variable the polynomial uses a value
     table = VariableTable(["x", "y"])
     x, y = var(table, "x"), var(table, "y")
@@ -440,7 +440,7 @@ def test_eval_at_checks_the_point_table():
     short = RationalPoint(VariableTable(["x"]), (Fraction(1),))
     with pytest.raises(ValueError, match="variable 'y' unassigned"):
         p.eval_at(short)
-    # a value past the end of the point's table is not a value for y
+    # a value past the end of the point's names is not a value for y
     with pytest.raises(ValueError, match="variable 'y' unassigned"):
         p.eval_at(RationalPoint(VariableTable(["x"]), (Fraction(1), Fraction(5))))
     with pytest.raises(ValueError, match="variable 'y' unassigned"):
