@@ -8,22 +8,18 @@ generator so identical (polynomial, budget, seed) inputs reproduce identical
 verdicts and witnesses.
 
 Every classification with one seed starts the generator afresh, so sample j
-is the same point for every polynomial over a table.  The samples are
-therefore drawn once per (table, seed, table length) into a stream kept on
-the table (``_stream_of``), the first time any polynomial reaches them, and
-every polynomial of the table reads them from there.  A table keeps one
-stream, that of the last seed and length it was sampled at, so calls that
-alternate seeds over one table draw afresh each time.  A sample that becomes
-a witness is one point, kept by the stream and rendered once, for every
-verdict it witnesses.  The stream is plain data, ints and those points,
-which hold names and Fractions but not the table, so copies and pickles of
-the table carry it, those of a verdict carry only its points, and the
-stream is freed with its table as soon as nothing holds the table.  It
-stores at most ``_STORED_SAMPLES`` samples whatever the budget: a
-polynomial that needs more continues the generator from the last stored
-state without storing.  Threads may share a stream (``_SampleStream``).
-Each polynomial keeps its own early-exit loop over the stream, so verdicts
-and witnesses are exactly those of a fresh ``Lcg64(seed)`` per call.
+depends only on the seed and the number of variables, and the point it
+becomes only on those and the variable names.  Both are memoised here, by
+value: ``_sample(state, n)`` is the draw from a generator state and
+``_witness(names, state)`` its point, built and rendered once, so every
+polynomial over tables of those names reads the same draws and the same
+points, and nothing is kept on a table.  The memos hold at most
+``_MEMO_SAMPLES`` draws and ``_MEMO_POINTS`` points, and a polynomial reads
+only its first ``_STORED_SAMPLES`` samples through the memo and draws the
+rest itself, memoising at most its two witnesses among them, so a long
+search cannot push the first samples out.  Each polynomial keeps its own
+early-exit loop, so verdicts and witnesses are exactly those of a fresh
+``Lcg64(seed)`` per call.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
-from itertools import count
+from functools import lru_cache
 from math import comb
 from operator import attrgetter
 
@@ -86,8 +82,9 @@ class Lcg64(object):
 def _draw(state: int, n: int) -> tuple[list[int], list[int], int]:
     """The next ``n`` sample values u/v of the generator at ``state``, u
     drawn before v, each 1 + (top 32 bits of the new state) % 100, as the
-    lists us and vs, and the state after them.  The recurrence is inlined,
-    as this is the sampler's inner loop."""
+    lists us and vs, and the state after them: one sample, as ``_sample``
+    memoises it.  The recurrence is inlined, as this is the sampler's inner
+    loop."""
     multiplier, increment, mask = Lcg64.MULTIPLIER, Lcg64.INCREMENT, Lcg64._MASK
     us, vs = [], []
     for _ in range(n):
@@ -98,68 +95,28 @@ def _draw(state: int, n: int) -> tuple[list[int], list[int], int]:
     return us, vs, state
 
 
-# Samples a stream stores, under 1 KB each at 36 variables; later samples
-# are drawn as stored ones are but not kept, so a stream stays this small
-# whatever the budget.
+# Samples a polynomial reads through the memo, under 1 KB each at 36
+# variables; later samples are drawn as memoised ones are but not kept.
 _STORED_SAMPLES = 256
+# Bounds of the memos: draws, enough for four seeds or table lengths, and
+# witness points.
+_MEMO_SAMPLES = 1024
+_MEMO_POINTS = 256
 
 
-class _SampleStream:
-    """The samples ``Lcg64(seed)`` draws for a table of ``n`` variables,
-    each drawn once and read by every polynomial classified over the table
-    with that seed.  Nothing in it refers back to the table.
-
-    Sample j is (us, vs, state): the u and v lists of the point
-    ``Lcg64.point`` would draw j-th, and the generator state after it.
-    Each reader draws a missing sample j by ``_draw`` from sample j - 1's
-    state, an int, so threads share no generator: threads that reach
-    sample j together draw equal values, and ``setdefault`` stores one.
-    """
-
-    __slots__ = ("key", "_samples", "_points")
-
-    def __init__(self, key: tuple[int, int]) -> None:
-        self.key = key  # (seed masked to 64 bits, n)
-        self._samples: dict[int, tuple[list[int], list[int], int]] = {}
-        # j -> sample j's witness point, once some verdict has taken it
-        self._points: dict[int, RationalPoint] = {}
-
-    def samples(self) -> Iterator[tuple[list[int], list[int], int]]:
-        """Samples 0, 1, 2, ... without end, drawn as they are reached."""
-        state, n = self.key
-        samples = self._samples
-        for j in count():
-            sample = samples.get(j)
-            if sample is None:
-                sample = _draw(state, n)
-                if j < _STORED_SAMPLES:
-                    sample = samples.setdefault(j, sample)
-            yield sample
-            state = sample[2]
-
-    def point(self, table: VariableTable, j: int, us: list[int],
-              vs: list[int]) -> RationalPoint:
-        """Sample j, read off ``samples()`` as us, vs, as a point of
-        ``table``: one point, rendered at most once, for every witness that
-        is sample j, kept for j below ``_STORED_SAMPLES``.  Threads that
-        build it together keep the one ``setdefault`` stores."""
-        point = self._points.get(j)
-        if point is None:
-            point = RationalPoint(table, tuple(map(Fraction, us, vs)))
-            if j < _STORED_SAMPLES:
-                point = self._points.setdefault(j, point)
-        return point
+@lru_cache(maxsize=_MEMO_SAMPLES)
+def _sample(state: int, n: int) -> tuple[list[int], list[int], int]:
+    """``_draw(state, n)``, drawn once for every polynomial that reads it."""
+    return _draw(state, n)
 
 
-def _stream_of(table: VariableTable, seed: int) -> _SampleStream:
-    """The table's stream for ``seed``.  A table keeps the stream of the
-    last seed and length it was sampled at: seeds equal mod 2^64 draw
-    alike, and a table that has since grown draws longer points."""
-    key = (seed & Lcg64._MASK, len(table))
-    stream = table._sample_stream
-    if stream is None or stream.key != key:
-        stream = table._sample_stream = _SampleStream(key)
-    return stream
+@lru_cache(maxsize=_MEMO_POINTS)
+def _witness(names: tuple[str, ...], state: int) -> RationalPoint:
+    """The point of the sample drawn from ``state`` for a table of ``names``,
+    the one ``Lcg64.point`` draws there: one object, rendered at most once,
+    for every verdict it witnesses."""
+    us, vs, _ = _sample(state, len(names))
+    return RationalPoint(names, tuple(map(Fraction, us, vs)))
 
 
 def sign_of(value: Fraction) -> str:
@@ -225,19 +182,18 @@ def classify_polynomial(p: Polynomial, budget: int = DEFAULT_BUDGET,
     """Classify p over the positive orthant.
 
     Zero/Pos/Neg are decided exactly by the coefficient test.  Otherwise the
-    seeded sample stream is scanned for the first positive-value and first
+    seeded samples are scanned for the first positive-value and first
     negative-value points; finding both within ``budget`` samples yields
     Mixed, anything less stays Unresolved.  Zero evaluations consume budget
     but witness nothing.
 
     Sample j is the (u, v) pairs the j-th ``Lcg64(seed).point`` call would
-    draw, read from the table's shared stream (see the module docstring):
-    drawn once per (table, seed), at most ``_STORED_SAMPLES`` of them stored.
-    p is compiled once by ``Polynomial._evaluator``, the evaluator behind
-    ``eval_at``, and each sample's sign is read off N alone, the integer
-    numerator of p's value N/Q with Q > 0, so the loop builds no Fraction.
-    Only the two witnesses become points, equal to the ones ``Lcg64.point``
-    would have drawn, one object per stored sample (``_SampleStream.point``).
+    draw, read through ``_sample`` for j below ``_STORED_SAMPLES`` (see the
+    module docstring).  p is compiled once by ``Polynomial._evaluator``, the
+    evaluator behind ``eval_at``, and each sample's sign is read off N
+    alone, the integer numerator of p's value N/Q with Q > 0, so the loop
+    builds no Fraction.  Only the two witnesses become points, by
+    ``_witness``.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -248,20 +204,22 @@ def classify_polynomial(p: Polynomial, budget: int = DEFAULT_BUDGET,
         return _POS
     if summary is CoeffSignSummary.ALL_NEGATIVE:
         return _NEG
-    table = p.table
-    stream = _stream_of(table, seed)
+    n = len(p.table)
     _, value_of = p._evaluator()
+    state = seed & Lcg64._MASK
     pos = neg = None
-    for j, (us, vs, _) in zip(range(budget), stream.samples()):
+    for j in range(budget):
+        us, vs, after = (_sample if j < _STORED_SAMPLES else _draw)(state, n)
         numerator = value_of(us, vs)[0]
         if numerator > 0:
             if pos is None:
-                pos = stream.point(table, j, us, vs)
+                pos = _witness(p.table.names, state)
         elif numerator < 0:
             if neg is None:
-                neg = stream.point(table, j, us, vs)
+                neg = _witness(p.table.names, state)
         if pos is not None and neg is not None:
             return SignClass(SignKind.MIXED, pos_witness=pos, neg_witness=neg)
+        state = after
     return SignClass(SignKind.UNRESOLVED, pos_witness=pos, neg_witness=neg)
 
 

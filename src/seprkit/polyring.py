@@ -79,9 +79,6 @@ class VariableTable:
     def __init__(self, names: Iterable[str] = ()) -> None:
         self._names: list[str] = []
         self._index: dict[str, int] = {}
-        # The orthant sampler's draws and witness points for this table
-        # (``orthant._stream_of``), plain data freed with the table.
-        self._sample_stream = None
         for name in names:
             self.add(name)
 

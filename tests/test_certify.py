@@ -742,8 +742,8 @@ def test_tuple_records_refuse_new_attributes_and_survive_copy_and_pickle(record)
 def test_reports_compare_copy_and_pickle_as_values(builtin_matrix):
     # a report's minor table compares by its minors and its witness points
     # by their names and values, so equal work gives equal reports; a copied
-    # table carries its sample stream, so a copied minor classifies alike,
-    # its witnesses the copied report's own points, named as the table is
+    # minor classifies alike, its witnesses equal to the copied report's
+    # points and named as the table is
     report = analyze(builtin_matrix)
     assert report == analyze(builtin_matrix)
     assert verify_paper_claims() == verify_paper_claims()
@@ -756,7 +756,7 @@ def test_reports_compare_copy_and_pickle_as_values(builtin_matrix):
         verdict = classify_polynomial(copied.minors.minor(mask))
         assert verdict == report.classes[mask]
         own = copied.classes[mask]
-        assert verdict.pos_witness is own.pos_witness and verdict.neg_witness is own.neg_witness
+        assert verdict.pos_witness == own.pos_witness and verdict.neg_witness == own.neg_witness
         assert verdict.pos_witness.names == table.names
     x, y = (analyze(matrix_from_document({"n": 1, "entries": [[name]]})) for name in "xy")
     assert x.minors != y.minors and x != y

@@ -3,7 +3,7 @@ minors is known in advance.
 
 Each random matrix declares its variables up front, so a transform that
 moves entries about leaves the variable table, and with it the term order
-and the sample stream, as it was.  Minors are compared through the oracle
+and the sampled points, as it was.  Minors are compared through the oracle
 decoder ``exponents`` as {(name, exponent) pairs: coefficient}, never
 through the monomial layout:
 

@@ -31,7 +31,7 @@ from seprkit import (
     minor_values_at,
     sepr_at_point,
 )
-from seprkit.orthant import _STORED_SAMPLES, _draw, _stream_of, sign_of
+from seprkit.orthant import _STORED_SAMPLES, _draw, _sample, _witness, sign_of
 from _oracles import (
     LcgReference,
     classify_reference,
@@ -101,7 +101,11 @@ def test_negative_and_huge_seeds_are_masked():
     table = VariableTable(["x", "y"])
     assert Lcg64(-1).state == Lcg64(2 ** 64 - 1).state == 2 ** 64 - 1
     assert Lcg64(-1).point(table) == Lcg64(2 ** 64 - 1).point(table)
-    assert _stream_of(table, -1) is _stream_of(table, 2 ** 64 - 1)
+    # seeds equal mod 2^64 read one memoised sample, so one witness object
+    x, y = Polynomial.variable(table, "x"), Polynomial.variable(table, "y")
+    low, high = (classify_polynomial(x - y, seed=seed) for seed in (-1, 2 ** 64 - 1))
+    assert low.kind is SignKind.MIXED
+    assert low.pos_witness is high.pos_witness and low.neg_witness is high.neg_witness
 
 
 def test_sign_kind_reads_looks_up_and_copies_as_an_enum():
@@ -233,9 +237,9 @@ def test_classify_matches_the_witness_stream_oracle():
 
 def test_classify_on_shared_tables_matches_the_witness_stream_oracle():
     # polynomials over a few tables, classified in interleaved order with
-    # interleaved seeds, read one shared sample stream per (table, seed);
+    # interleaved seeds, read the memoised samples of each (seed, length);
     # every verdict must still be the oracle's fresh generator per call,
-    # also past the stored samples and after a table gains a variable
+    # also past the memoised samples and after a table gains a variable
     rng = random.Random(2626)
     seeds = [0, -1, 2 ** 64 - 1, rng.getrandbits(64)]
     past_bound = _STORED_SAMPLES + 20
@@ -257,18 +261,13 @@ def test_classify_on_shared_tables_matches_the_witness_stream_oracle():
         assert (verdict.pos_witness, verdict.neg_witness) == (pos, neg), p
         assert [w and w.render() for w in (verdict.pos_witness, verdict.neg_witness)] == \
             [w and w.render() for w in (pos, neg)]
-        stored = len(p.table._sample_stream._samples)
         if never_negative:
             assert neg is None
-            if budget == past_bound:
-                # the loop ran past the stored samples without storing more
-                assert stored == _STORED_SAMPLES
-        assert stored <= _STORED_SAMPLES
         return kind
 
     cases = [case for table in tables for case in cases_over(table, 12)]
-    # negative only at one sample ten past the stored ones: the loop must
-    # go on drawing where the stream stopped, each sample from the last
+    # negative only at one sample ten past the memoised ones: the loop must
+    # go on drawing where the memo stopped, each sample from the last
     late = VariableTable(["y0", "y1"])
     y0, y1 = Polynomial.variable(late, "y0"), Polynomial.variable(late, "y1")
     for seed in seeds:
@@ -326,6 +325,7 @@ def samples_used(p, budget, seed):
 
 def test_one_analysis_draws_each_sample_once():
     matrix = matrix_from_document(dense_document(random.Random(606), 6))
+    _sample.cache_clear()  # no draws memoised by an earlier analysis
     with mock.patch("seprkit.orthant._draw", wraps=_draw) as draw:
         report = analyze(matrix, seed=3)
     sampled = [minor for minor in report.minors.entries.values()
@@ -343,6 +343,7 @@ def test_witnesses_of_one_sample_are_one_point_rendered_once():
     # each sample is one point whose text is built on the first render and
     # is that of a fresh point
     matrix = matrix_from_document(dense_document(random.Random(606), 6))
+    _witness.cache_clear()  # no points rendered by an earlier test
     report = analyze(matrix, seed=3)
     witnesses = [w for verdict in report.classes.values()
                  for w in (verdict.pos_witness, verdict.neg_witness) if w is not None]
@@ -355,8 +356,8 @@ def test_witnesses_of_one_sample_are_one_point_rendered_once():
         texts = [witness.render() for witness in witnesses]
     assert items.call_count == len(by_values)
     assert texts == [RationalPoint(matrix.table, w.values).render() for w in witnesses]
-    # the table's stream keeps its points once no verdict holds them: after
-    # the report is dropped, the minor's verdict is again that point, which
+    # the memo keeps its points once no verdict holds them: after the
+    # report is dropped, the minor's verdict is again that point, which
     # still holds the text rendered above
     mask, verdict = next((mask, verdict) for mask, verdict in report.classes.items()
                          if verdict.kind is SignKind.MIXED)
@@ -385,27 +386,25 @@ def test_a_point_evaluated_matrix_copies_and_pickles_with_its_plan(builtin_matri
 
 def test_a_verdict_copies_and_pickles_without_its_stream():
     # a witness point holds its variable names, not its table, so a lone
-    # verdict's pickle carries neither the table nor the table's stream
+    # verdict's pickle carries no table
     table = VariableTable(["x", "y"])
     x, y = Polynomial.variable(table, "x"), Polynomial.variable(table, "y")
     verdict = classify_polynomial(x - y)
     assert verdict.kind is SignKind.MIXED
     data = pickle.dumps(verdict)
-    assert b"_SampleStream" not in data and b"VariableTable" not in data
+    assert b"VariableTable" not in data
     for copied in (copy.deepcopy(verdict), pickle.loads(data)):
         assert copied == verdict
         assert copied.pos_witness.names == copied.neg_witness.names == ("x", "y")
 
 
-def test_the_sample_stream_dies_with_its_table():
-    # the stream lives on the table and holds nothing that refers back to
-    # it, so the table, its points and its minors are freed together, by
-    # reference counting alone
+def test_a_classified_table_is_freed_by_reference_counting_alone():
+    # nothing the sampler keeps refers to a table, so the table and its
+    # minors are freed together, by reference counting alone
     matrix = matrix_from_document(dense_document(random.Random(7), 5))
     report = analyze(matrix)
     assert any(verdict.kind is SignKind.MIXED for verdict in report.classes.values())
     table = matrix.table
-    assert table._sample_stream is not None
     freed = weakref.ref(table)
     gc.collect()
     gc.disable()
@@ -416,11 +415,45 @@ def test_the_sample_stream_dies_with_its_table():
         gc.enable()
 
 
+def test_an_analysis_leaves_its_table_pickle_as_it_was():
+    # the sampler memoises draws and points by value, in its own module, so
+    # a table holds no sampler state and pickles alike after an analysis
+    assert set(vars(VariableTable(["x"]))) == {"_names", "_index"}
+    matrix = matrix_from_document(dense_document(random.Random(7), 5))
+    before = pickle.dumps(matrix.table)
+    report = analyze(matrix)
+    assert any(verdict.kind is SignKind.MIXED for verdict in report.classes.values())
+    assert pickle.dumps(matrix.table) == before
+
+
+def test_tables_with_equal_names_share_witness_points():
+    # a witness point is memoised by the names and the sample, so two
+    # separately parsed tables of the same names give one point object
+    document = dense_document(random.Random(7), 5)
+    first, second = (analyze(matrix_from_document(document)) for _ in range(2))
+    assert first.minors.minor(1).table is not second.minors.minor(1).table
+    mask, verdict = next((mask, verdict) for mask, verdict in first.classes.items()
+                         if verdict.kind is SignKind.MIXED)
+    other = second.classes[mask]
+    assert other.pos_witness is verdict.pos_witness and other.neg_witness is verdict.neg_witness
+
+
+def test_a_long_search_memoises_at_most_the_stored_samples():
+    # a never-negative polynomial runs its whole budget; the samples past
+    # the stored ones are drawn without being memoised
+    table = VariableTable(["x", "y"])
+    x, y = Polynomial.variable(table, "x"), Polynomial.variable(table, "y")
+    _sample.cache_clear()
+    verdict = classify_polynomial((x - y) * (x - y), budget=_STORED_SAMPLES + 10)
+    assert verdict.kind is SignKind.UNRESOLVED and verdict.neg_witness is None
+    assert verdict.pos_witness is not None
+    assert _sample.cache_info().currsize <= _STORED_SAMPLES
+
+
 def test_threads_sharing_a_table_classify_as_one_thread_does():
-    # eight threads extend one table's stream at once, under two seeds that
-    # keep replacing each other's stream; a sample drawn twice from one
-    # generator state, stored at the wrong index or read from the wrong
-    # seed's stream would change a witness
+    # eight threads fill the emptied memos at once, under two seeds; a
+    # sample drawn from the wrong generator state or a point memoised under
+    # the wrong key would change a witness
     document = dense_document(random.Random(99), 5)
     seeds = (0, 5)
 
@@ -449,6 +482,8 @@ def test_threads_sharing_a_table_classify_as_one_thread_does():
     try:
         for round_ in range(3):
             polys = work_of(matrix_from_document(document))
+            _sample.cache_clear()
+            _witness.cache_clear()
             start = threading.Barrier(8)
             results, errors = {}, []
 
